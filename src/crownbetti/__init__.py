@@ -14,7 +14,6 @@ from .multidegree import (
     lcm,
     lcm_of,
     quotient,
-    support,
     xy_variables,
 )
 from .ideals import (
@@ -28,7 +27,6 @@ from .ideals import (
     lcm_lattice,
     minimalize,
     scale,
-    support_of_ideal,
 )
 from .graphs import (
     SubgraphClass,
@@ -56,6 +54,7 @@ from .splitting import (
     betti_product_disjoint,
     betti_sum_disjoint,
     check_splitting_lemma_hypotheses,
+    crown_splitting,
     crowncolon_components,
     mapping_cone_upper_bound,
     taylor_betti_dominant,
@@ -70,6 +69,7 @@ from .render import (
     table_to_json_dict,
 )
 from .formulas import (
+    FAMILIES,
     FamilyTopBetti,
     enumerate_M,
     enumerate_N,

@@ -13,9 +13,9 @@ from typing import Sequence
 from .formulas import multigraded_betti_formula, regularity_formula, total_betti_closed_form
 from .graphs import crown, edge_ideal, induced_subgraph
 from .homology import FieldSpec, multigraded_betti
-from .ideals import ideal_intersect, ideal_sum, lcm_lattice, minimalize, scale
-from .multidegree import binomial, xy_variables
-from .splitting import verify_betti_splitting
+from .ideals import ideal_intersect, lcm_lattice
+from .multidegree import binomial
+from .splitting import crown_splitting, verify_betti_splitting
 
 
 def check_formula_vs_oracle(
@@ -90,26 +90,8 @@ def check_crown_splitting(
 ) -> list[str]:
     """The decomposition I_n = (I_{n-1} + x_n*A) + y_n^{w_n}*B is a Betti
     splitting, and the pdim/reg max-formulas hold on it."""
-    variables = xy_variables(n)
     whole = edge_ideal(crown(n, weights))
-    sub = minimalize(
-        variables,
-        [
-            variables.variable(f"x{i}") * variables.variable(f"y{j}", weights[j - 1])
-            for i in range(1, n)
-            for j in range(1, n)
-            if i != j
-        ],
-    )
-    a_part = minimalize(
-        variables,
-        [variables.variable(f"y{j}", weights[j - 1]) for j in range(1, n)],
-    )
-    b_part = minimalize(
-        variables, [variables.variable(f"x{i}") for i in range(1, n)]
-    )
-    j_ideal = ideal_sum(sub, scale(variables.variable(f"x{n}"), a_part))
-    k_ideal = scale(variables.variable(f"y{n}", weights[n - 1]), b_part)
+    j_ideal, k_ideal = crown_splitting(n, weights)
     ok, witness = verify_betti_splitting(whole, j_ideal, k_ideal, field)
     if not ok:
         i, a = witness

@@ -17,15 +17,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import checks
-from .formulas import family_top_betti, multigraded_betti_formula
-from .graphs import (
-    WeightedOrientedGraph,
-    complete_bipartite,
-    crown,
-    edge_ideal,
-    generalized_crown,
-    unbalanced_crown,
-)
+from .formulas import FAMILIES, family_top_betti, multigraded_betti_formula
+from .graphs import WeightedOrientedGraph, crown, edge_ideal
 from .homology import BettiTable, FieldSpec, multigraded_betti
 from .multidegree import VariableSet
 from .render import report_text, table_to_json_dict
@@ -141,16 +134,9 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_ARITY = {
-    "crown": 1,
-    "unbalanced": 2,
-    "generalized": 3,
-    "complete-bipartite": 2,
-}
-
-
 def cmd_family(args) -> int:
-    arity = _FAMILY_ARITY[args.kind]
+    kind = args.kind.replace("-", "_")
+    constructor, arity = FAMILIES[kind]
     try:
         params = tuple(int(p) for p in args.params.split(","))
     except ValueError:
@@ -159,7 +145,6 @@ def cmd_family(args) -> int:
         raise UsageError(f"family {args.kind!r} takes {arity} parameter(s)")
     n_y = params[0] if args.kind == "crown" else params[-1]
     weights = _parse_weights(args.weights, n_y)
-    kind = args.kind.replace("-", "_")
     try:
         top = family_top_betti(kind, params, weights)
     except ValueError as exc:
@@ -168,12 +153,7 @@ def cmd_family(args) -> int:
     print(f"top multidegree: {top.top_multidegree}")
     print(f"top value: {top.top_value}")
     if args.oracle:
-        graph = {
-            "crown": crown,
-            "unbalanced": unbalanced_crown,
-            "generalized": generalized_crown,
-            "complete_bipartite": complete_bipartite,
-        }[kind](*params, weights)
+        graph = constructor(*params, weights)
         table = multigraded_betti(edge_ideal(graph), _parse_field(args.field))
         print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
         ok = (
@@ -274,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.set_defaults(func=cmd_graph)
 
     p_family = sub.add_parser("family", help="top Betti data of a named family")
-    p_family.add_argument("kind", choices=tuple(_FAMILY_ARITY))
+    p_family.add_argument("kind", choices=tuple(k.replace("_", "-") for k in FAMILIES))
     p_family.add_argument("--params", required=True, help="comma-separated family parameters")
     p_family.add_argument("--weights", help="comma-separated y-weights (default all 1)")
     p_family.add_argument("--oracle", action="store_true",

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import (
     SubgraphClass,
     SubgraphKind,
+    WeightedOrientedGraph,
     classify_induced,
     complete_bipartite,
     crown,
@@ -146,6 +147,15 @@ class FamilyTopBetti:
     top_value: int
 
 
+# kind -> (graph constructor, number of integer parameters before the weights)
+FAMILIES: dict[str, tuple[Callable[..., WeightedOrientedGraph], int]] = {
+    "crown": (crown, 1),
+    "unbalanced": (unbalanced_crown, 2),
+    "generalized": (generalized_crown, 3),
+    "complete_bipartite": (complete_bipartite, 2),
+}
+
+
 def family_top_betti(
     kind: str, params: Sequence[int], weights: Sequence[int]
 ) -> FamilyTopBetti:
@@ -155,23 +165,23 @@ def family_top_betti(
     (m, s, t), "complete_bipartite" (s, t).  The generalized family's top
     value is m - 1.
     """
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family kind: {kind!r}")
+    constructor, arity = FAMILIES[kind]
+    if len(params) != arity:
+        raise ValueError(f"family {kind!r} takes {arity} parameter(s)")
+    top = theta(constructor(*params, weights))
     if kind == "crown":
         (s,) = params
-        graph = crown(s, weights)
-        return FamilyTopBetti(2 * s - 3, theta(graph), s - 1)
+        return FamilyTopBetti(2 * s - 3, top, s - 1)
     if kind == "unbalanced":
         s, t = params
-        graph = unbalanced_crown(s, t, weights)
-        return FamilyTopBetti(s + t - 3, theta(graph), t - 1)
+        return FamilyTopBetti(s + t - 3, top, t - 1)
     if kind == "generalized":
         m, s, t = params
-        graph = generalized_crown(m, s, t, weights)
-        return FamilyTopBetti(s + t - 3, theta(graph), m - 1)
-    if kind == "complete_bipartite":
-        s, t = params
-        graph = complete_bipartite(s, t, weights)
-        return FamilyTopBetti(s + t - 2, theta(graph), 1)
-    raise ValueError(f"unknown family kind: {kind!r}")
+        return FamilyTopBetti(s + t - 3, top, m - 1)
+    s, t = params
+    return FamilyTopBetti(s + t - 2, top, 1)
 
 
 def predicted_contribution(

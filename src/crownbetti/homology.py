@@ -7,39 +7,100 @@ field is the multigraded Betti number beta_{i,a}(I).  Only multidegrees in
 the lcm lattice of I can carry a nonzero Betti number, so the oracle
 evaluates exactly those (an audit mode sweeps the whole box below the lcm
 of all generators instead).
+
+Boundary ranks are exact in every characteristic below 2^64: one sparse
+column reduction on Python integers serves F_p and, over Fractions, Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as cartesian_product
 
 import numpy as np
 
 from .ideals import MonomialIdeal, lcm_lattice
-from .linalg import rank_char0, rank_mod_p
 from .multidegree import Multidegree, VariableSet, lcm_of
 
 DEFAULT_PRIME = 32003
+# Deterministic Miller-Rabin: these bases decide primality of every c < 2^64.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(c: int) -> bool:
+    if c < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if c % q == 0:
+            return c == q
+    d, s = c - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, c)
+        if x in (1, c - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field: characteristic 0 (rationals) or a prime p."""
+    """The coefficient field: characteristic 0 (rationals) or a prime p < 2^64."""
 
     characteristic: int = DEFAULT_PRIME
 
     def __post_init__(self):
         c = self.characteristic
-        if c == 0:
-            return
-        if c < 2 or any(c % q == 0 for q in range(2, int(c**0.5) + 1)):
+        if c >= 1 << 64:
+            raise ValueError(f"characteristic must be below 2^64, got {c}")
+        if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
     def rank(self, matrix: np.ndarray) -> int:
-        if self.characteristic == 0:
-            return rank_char0(matrix)
-        return rank_mod_p(matrix, self.characteristic)
+        """Exact rank by sparse column reduction on Python integers
+        (Fractions in characteristic 0).
+
+        Each column, held as {row: coeff}, is cleared on its lowest nonzero
+        row against the stored pivot column for that row (normalised to a
+        leading 1) until it vanishes or leads on a new row.  Only reducing
+        coefficients mod p and inverting a pivot depend on the field.
+        """
+        p = self.characteristic
+        if p:
+            reduce, invert = (lambda c: c % p), (lambda c: pow(c, -1, p))
+        else:
+            reduce, invert = (lambda c: c), (lambda c: Fraction(1, c))
+        a = np.asarray(matrix)
+        cols, rows = np.nonzero(a.T)
+        columns: dict[int, dict[int, int]] = {}
+        for j, i, v in zip(cols.tolist(), rows.tolist(), a[rows, cols].tolist()):
+            v = reduce(v)
+            if v:
+                columns.setdefault(j, {})[i] = v
+        pivots: dict[int, dict[int, int]] = {}
+        for col in columns.values():
+            while col:
+                low = max(col)
+                pivot = pivots.get(low)
+                if pivot is None:
+                    inv = invert(col[low])
+                    pivots[low] = {i: reduce(v * inv) for i, v in col.items()}
+                    break
+                factor = col[low]
+                for i, v in pivot.items():
+                    c = reduce(col.get(i, 0) - factor * v)
+                    if c:
+                        col[i] = c
+                    else:
+                        del col[i]
+        return len(pivots)
 
 
 @dataclass(frozen=True)

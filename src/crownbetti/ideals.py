@@ -148,10 +148,6 @@ def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Multidegree]:
     return frozenset(points)
 
 
-def support_of_ideal(ideal: MonomialIdeal) -> frozenset[str]:
-    return ideal.support()
-
-
 def _check_same_ring(a: MonomialIdeal, b: MonomialIdeal) -> None:
     if a.variables != b.variables:
         raise ValueError("ideals over different variable sets")

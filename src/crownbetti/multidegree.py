@@ -165,10 +165,6 @@ def quotient(b: Multidegree, a: Multidegree) -> Multidegree:
     )
 
 
-def support(a: Multidegree) -> frozenset[str]:
-    return a.support()
-
-
 def binomial(q: int, p: int) -> int:
     """Binomial coefficient C(q, p), extended by zero outside 0 <= p <= q.
 

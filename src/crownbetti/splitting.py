@@ -14,11 +14,14 @@ from .ideals import (
     colon_by_monomial,
     ideal_intersect,
     ideal_product,
+    ideal_sum,
     is_dominant,
     minimalize,
+    scale,
 )
 from .multidegree import (
     Multidegree,
+    VariableSet,
     binomial,
     divides,
     lcm_of,
@@ -195,6 +198,30 @@ class CrownColonComponents:
     c: MonomialIdeal
 
 
+def crown_splitting(
+    n: int, weights: Sequence[int]
+) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The parts (J, K) of the standard splitting I_n = J + K of the crown
+    edge ideal: J = I_{n-1} + x_n*A and K = y_n^{w_n}*B, where
+    A = (y_1^{w_1}, ..., y_{n-1}^{w_{n-1}}) and B = (x_1, ..., x_{n-1})."""
+    if n < 2:
+        raise ValueError(f"crown splitting needs n >= 2, got {n}")
+    variables = xy_variables(n)
+    a_part = minimalize(
+        variables,
+        [variables.variable(f"y{j}", weights[j - 1]) for j in range(1, n)],
+    )
+    b_part = minimalize(
+        variables, [variables.variable(f"x{i}") for i in range(1, n)]
+    )
+    j_part = ideal_sum(
+        _embedded_crown_ideal(n - 1, weights, variables),
+        scale(variables.variable(f"x{n}"), a_part),
+    )
+    k_part = scale(variables.variable(f"y{n}", weights[n - 1]), b_part)
+    return j_part, k_part
+
+
 def crowncolon_components(
     n: int, weights: Sequence[int], s: int
 ) -> CrownColonComponents:
@@ -210,22 +237,18 @@ def crowncolon_components(
     variables = xy_variables(n)
     sub = _embedded_crown_ideal(n - 1, weights, variables)
 
-    def q_ideal(upto: int) -> MonomialIdeal:
-        extra = [
+    def link(r: int) -> Multidegree:
+        return (
             variables.variable(f"x{n}")
             * variables.variable(f"x{r}")
             * variables.variable(f"y{r}", weights[r - 1])
-            for r in range(1, upto + 1)
-        ]
+        )
+
+    def q_ideal(upto: int) -> MonomialIdeal:
+        extra = [link(r) for r in range(1, upto + 1)]
         return minimalize(variables, sub.generators + tuple(extra))
 
-    q_prev = q_ideal(s - 1)
-    pivot = (
-        variables.variable(f"x{n}")
-        * variables.variable(f"x{s}")
-        * variables.variable(f"y{s}", weights[s - 1])
-    )
-    p = colon_by_monomial(q_prev, pivot)
+    p = colon_by_monomial(q_ideal(s - 1), link(s))
     expected = minimalize(
         variables,
         [variables.variable(f"x{r}") for r in range(1, n) if r != s]
@@ -243,7 +266,7 @@ def crowncolon_components(
 
 
 def _embedded_crown_ideal(
-    m: int, weights: Sequence[int], variables
+    m: int, weights: Sequence[int], variables: VariableSet
 ) -> MonomialIdeal:
     """Edge ideal of the crown graph on the first m pairs, embedded in a
     larger xy-variable ring."""

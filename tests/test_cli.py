@@ -78,12 +78,20 @@ class TestCrownCommand:
             ("crown", "--n", "3", "--weights", "1,x,2"),
             ("crown", "--n", "3", "--weights", "1,0,2"),
             ("crown", "--n", "2", "--field", "4"),
+            ("crown", "--n", "2", "--field", "18446744073709551629"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error:")
+
+    def test_large_prime_field(self, capsys):
+        code, out, err = run(
+            capsys, "crown", "--n", "3", "--field", "1000000000000000003", "--mode", "both"
+        )
+        assert code == EXIT_OK and err == ""
+        assert "total: 6 9 6 2" in out
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # perturb the formula route so the oracle comparison must fail

@@ -254,6 +254,8 @@ class TestFamilyTopBetti:
             family_top_betti("unbalanced", (2, 2), (1, 1))
         with pytest.raises(ValueError):
             family_top_betti("bogus", (2,), (1, 1))
+        with pytest.raises(ValueError):
+            family_top_betti("unbalanced", (3,), (1, 1, 1))
 
 
 class TestPredictedContribution:

@@ -1,6 +1,9 @@
 import itertools
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crownbetti import (
     BettiTable,
@@ -66,14 +69,14 @@ def simplex_closure(facets):
 
 
 class TestReducedHomology:
-    @pytest.mark.parametrize("char", [0, 2, 32003])
+    @pytest.mark.parametrize("char", [0, 2, 32003, 4294967311])
     def test_hollow_triangle_has_h1(self, char):
         complex_ = SimplicialComplexOnVars(
             ("a", "b", "c"), simplex_closure([("a", "b"), ("b", "c"), ("a", "c")])
         )
         assert reduced_homology_ranks(complex_, FieldSpec(char)) == {1: 1}
 
-    @pytest.mark.parametrize("char", [0, 2, 32003])
+    @pytest.mark.parametrize("char", [0, 2, 32003, 4294967311])
     def test_two_points_have_h0(self, char):
         complex_ = SimplicialComplexOnVars(("a", "b"), simplex_closure([("a",), ("b",)]))
         assert reduced_homology_ranks(complex_, FieldSpec(char)) == {0: 1}
@@ -190,15 +193,57 @@ class TestAggregation:
             BettiTable(V, {(0, m(1, 0)): 0})
 
 
+def dense_rank(matrix, char):
+    """Reference rank: row reduction over Fractions (char 0) or ints mod p."""
+    rows = [[x % char if char else Fraction(x) for x in row] for row in matrix.tolist()]
+    rank = 0
+    for col in range(matrix.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, char) if char else 1 / rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inv
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            if char:
+                rows[r] = [a % char for a in rows[r]]
+        rank += 1
+    return rank
+
+
+@st.composite
+def small_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=nrows * ncols, max_size=nrows * ncols))
+    return np.array(entries, dtype=np.int64).reshape(nrows, ncols)
+
+
 class TestFieldSpec:
     def test_composite_characteristic_rejected(self):
         with pytest.raises(ValueError):
             FieldSpec(4)
 
+    def test_large_prime_accepted(self):
+        assert FieldSpec(10**18 + 3).characteristic == 10**18 + 3
+
+    @pytest.mark.parametrize("char", [10**18 + 1, 4294967297, 3215031751, 2**64 + 13])
+    def test_large_composite_or_oversized_characteristic_rejected(self, char):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        with pytest.raises(ValueError):
+            FieldSpec(char)
+
+    @given(small_matrices(), st.sampled_from([0, 2, 3, 32003, 4294967311]))
+    @example(np.zeros((0, 4), dtype=np.int64), 0)
+    @example(np.zeros((4, 0), dtype=np.int64), 2)
+    @example(np.array([[2, 4], [1, 2]], dtype=np.int64), 2)
+    def test_rank_matches_dense_reference(self, matrix, char):
+        assert FieldSpec(char).rank(matrix) == dense_rank(matrix, char)
+
     def test_field_robustness_crown3(self):
         ideal = edge_ideal(crown(3, (1, 2, 3)))
-        tables = [multigraded_betti(ideal, FieldSpec(c)) for c in (2, 32003, 0)]
-        assert tables[0] == tables[1] == tables[2]
+        tables = [multigraded_betti(ideal, FieldSpec(c)) for c in (2, 32003, 0, 4294967311)]
+        assert tables[0] == tables[1] == tables[2] == tables[3]
 
     def test_restriction_lemma_exhaustive_crown3(self):
         from crownbetti import induced_subgraph

@@ -15,7 +15,6 @@ from crownbetti import (
     lcm_lattice,
     minimalize,
     scale,
-    support_of_ideal,
     xy_variables,
 )
 
@@ -222,10 +221,10 @@ class TestLcmLattice:
 
 class TestSupportOfIdeal:
     def test_zero_ideal(self):
-        assert support_of_ideal(minimalize(V, [])) == frozenset()
+        assert minimalize(V, []).support() == frozenset()
 
     def test_single_generator(self):
-        assert support_of_ideal(minimalize(V, [m(2, 0)])) == {"x"}
+        assert minimalize(V, [m(2, 0)]).support() == {"x"}
 
     def test_union(self):
-        assert support_of_ideal(minimalize(V, [m(2, 0), m(0, 1)])) == {"x", "y"}
+        assert minimalize(V, [m(2, 0), m(0, 1)]).support() == {"x", "y"}

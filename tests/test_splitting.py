@@ -9,6 +9,7 @@ from crownbetti import (
     betti_sum_disjoint,
     check_splitting_lemma_hypotheses,
     crown,
+    crown_splitting,
     crowncolon_components,
     edge_ideal,
     ideal_product,
@@ -322,6 +323,21 @@ class TestMappingConeBound:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             mapping_cone_upper_bound(1, 0)
+
+
+class TestCrownSplitting:
+    @pytest.mark.parametrize("n,w", [(2, (1, 3)), (3, (1, 1, 1)), (4, (1, 2, 1, 3))])
+    def test_parts_partition_the_generators(self, n, w):
+        j_part, k_part = crown_splitting(n, w)
+        gens_j, gens_k = set(j_part.generators), set(k_part.generators)
+        assert not gens_j & gens_k
+        assert gens_j | gens_k == set(edge_ideal(crown(n, w)).generators)
+
+    def test_k_part_is_scaled_x_ideal(self):
+        vs = xy_variables(3)
+        _, k_part = crown_splitting(3, (1, 1, 2))
+        expected = scale(vs.variable("y3", 2), minimalize(vs, [vs.variable("x1"), vs.variable("x2")]))
+        assert k_part == expected
 
 
 class TestCrownColon:
