@@ -76,10 +76,7 @@ def cmd_crown(args) -> int:
         formula = multigraded_betti_formula(args.n, weights)
     if args.mode == "both" and oracle != formula:
         keys = set(oracle.entries) | set(formula.entries)
-        i, a = min(
-            (k for k in keys if oracle.entries.get(k) != formula.entries.get(k)),
-            key=lambda k: (k[0], k[1].sort_key()),
-        )
+        i, a = min(k for k in keys if oracle.entries.get(k) != formula.entries.get(k))
         print(
             f"mismatch at beta_({i}, {a}): oracle={oracle.entry(i, a)} "
             f"formula={formula.entry(i, a)}",
@@ -94,7 +91,7 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
     """Parse a graph interchange document.
 
     Schema: {"vertices": [label, ...], "edges": [[tail, head], ...],
-    "weights": {label: positive int, ...}} with weights defaulting to 1.
+    "weights": {vertex: positive integer, ...}} with weights defaulting to 1.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -105,19 +102,19 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
         raise UsageError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
-    try:
-        vertices = [str(v) for v in data["vertices"]]
-        edges = [(str(a), str(b)) for a, b in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: malformed graph document ({exc})")
+    vertices, edges = data.get("vertices"), data.get("edges")
+    if not isinstance(vertices, list):
+        raise UsageError(f"{path}: vertices must be a list of labels")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise UsageError(f"{path}: edges must be a list of [tail, head] pairs")
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
         raise UsageError(f"{path}: weights must be an object")
     try:
         return WeightedOrientedGraph(
-            VariableSet(tuple(vertices)),
-            frozenset(edges),
-            {str(k): int(v) for k, v in weights.items()},
+            VariableSet(tuple(str(v) for v in vertices)),
+            frozenset((str(a), str(b)) for a, b in edges),
+            weights,
         )
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
@@ -182,6 +179,8 @@ def cmd_verify(args) -> int:
     field = _parse_field(args.field)
     results: list[tuple[str, list[str]]] = []
     if args.identity:
+        if args.n_max < 2:
+            raise UsageError(f"the identity check needs --n-max >= 2, got {args.n_max}")
         results.append(
             (f"binomial-identity n<={args.n_max}", checks.check_binomial_identity(args.n_max))
         )
@@ -189,8 +188,8 @@ def cmd_verify(args) -> int:
         lo, hi = _parse_range(args.n)
         if hi > 6:
             raise UsageError(f"oracle verification is guarded at n <= 6, got {hi}")
-        if lo < 2:
-            raise UsageError(f"crown graph needs n >= 2, got {lo}")
+        if not 2 <= lo <= hi:
+            raise UsageError(f"bad range {args.n!r}: crown sizes need 2 <= LO <= HI")
         for n in range(lo, hi + 1):
             if args.weights == "default":
                 matrix = checks.default_weight_matrix(n)

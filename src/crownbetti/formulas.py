@@ -43,6 +43,15 @@ def total_betti_closed_form(n: int, i: int) -> int:
     return total
 
 
+def _check_crown_args(n: int, weights: Sequence[int]) -> None:
+    if n < 2:
+        raise ValueError(f"crown graph needs n >= 2, got {n}")
+    if len(weights) != n:
+        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in weights):
+        raise ValueError(f"weights must be positive integers, got {tuple(weights)}")
+
+
 def _selection_theta(
     variables: VariableSet, weights: Sequence[int], x_idx: Iterable[int], y_idx: Iterable[int]
 ) -> Multidegree:
@@ -101,10 +110,7 @@ def enumerate_M(n: int, weights: Sequence[int], i: int) -> frozenset[Multidegree
 def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:
     """Predicted multigraded Betti table of the crown edge ideal:
     multiplicity k - 1 on the k-pair selections, 1 on the pair-free ones."""
-    if n < 2:
-        raise ValueError(f"crown graph needs n >= 2, got {n}")
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    _check_crown_args(n, weights)
     variables = xy_variables(n)
     entries: dict[tuple[int, Multidegree], int] = {}
     for i in range(0, 2 * n - 2):
@@ -118,6 +124,7 @@ def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:
 
 def graded_betti_formula(n: int, weights: Sequence[int], i: int, j: int) -> int:
     """Predicted graded Betti number beta_{i,j} of the crown edge ideal."""
+    _check_crown_args(n, weights)
     count = sum(
         (k - 1)
         for k in range(2, n + 1)
@@ -130,10 +137,7 @@ def graded_betti_formula(n: int, weights: Sequence[int], i: int, j: int) -> int:
 
 def regularity_formula(n: int, weights: Sequence[int]) -> int:
     """Regularity of the crown edge ideal: sum of weights - n + 3."""
-    if n < 2:
-        raise ValueError(f"crown graph needs n >= 2, got {n}")
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    _check_crown_args(n, weights)
     return sum(weights) - n + 3
 
 

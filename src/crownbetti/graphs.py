@@ -37,10 +37,12 @@ class WeightedOrientedGraph:
             if pair in seen_undirected:
                 raise ValueError(f"multiple edges between {tail} and {head}")
             seen_undirected.add(pair)
+        for v, w in self.weights.items():
+            if v not in names:
+                raise ValueError(f"weight given for unknown vertex {v!r}")
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+                raise ValueError(f"weight of {v} must be a positive integer, got {w!r}")
         for v in self.vertices.names:
-            w = self.weights.get(v, 1)
-            if w < 1:
-                raise ValueError(f"weight of {v} must be positive, got {w}")
             self.weights.setdefault(v, 1)
 
     def weight(self, v: str) -> int:
@@ -67,8 +69,6 @@ def edge_ideal(graph: WeightedOrientedGraph) -> MonomialIdeal:
 def _xy_weights(n_y: int, weights: Sequence[int]) -> dict[str, int]:
     if len(weights) != n_y:
         raise ValueError(f"expected {n_y} weights, got {len(weights)}")
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must be positive integers")
     return {f"y{j}": w for j, w in enumerate(weights, start=1)}
 
 

@@ -8,6 +8,9 @@ the lcm lattice of I can carry a nonzero Betti number, so the oracle
 evaluates exactly those (an audit mode sweeps the whole box below the lcm
 of all generators instead).
 
+Faces are bitmasks over a ground tuple of labels (supp(a) here), and the
+oracle runs the public upper_koszul_complex and reduced_homology_ranks.
+
 Boundary ranks are exact in every characteristic below 2^64: one sparse
 column reduction on Python integers serves F_p and, over Fractions, Q.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -105,17 +109,40 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class SimplicialComplexOnVars:
-    """Simplicial complex on a subset of variable labels.
+    """Simplicial complex on a tuple of variable labels.
 
-    ``faces`` is downward closed and contains the empty face whenever the
-    complex is nonvoid; the void complex has no faces at all.
+    A face is a bitmask over ``ground``: bit k stands for ``ground[k]``.
+    ``masks`` is sorted and downward closed, so it contains the empty face 0
+    whenever the complex is nonvoid; the void complex has no faces at all.
     """
 
     ground: tuple[str, ...]
-    faces: frozenset[frozenset[str]]
+    masks: tuple[int, ...]
+
+    @classmethod
+    def from_faces(
+        cls, ground: Sequence[str], faces: Iterable[Iterable[str]]
+    ) -> SimplicialComplexOnVars:
+        """The complex on ``ground`` whose faces are the given label sets."""
+        pos = {v: k for k, v in enumerate(ground)}
+        try:
+            masks = {sum(1 << pos[v] for v in face) for face in faces}
+        except KeyError as exc:
+            raise ValueError(f"face label {exc} is not in the ground set") from None
+        if any(m & ~(1 << k) not in masks for m in masks for k in range(len(pos))):
+            raise ValueError("face set is not downward closed")
+        return cls(tuple(ground), tuple(sorted(masks)))
+
+    @property
+    def faces(self) -> frozenset[frozenset[str]]:
+        """The faces as label sets."""
+        return frozenset(
+            frozenset(v for k, v in enumerate(self.ground) if mask >> k & 1)
+            for mask in self.masks
+        )
 
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.masks
 
 
 def upper_koszul_complex(
@@ -124,32 +151,18 @@ def upper_koszul_complex(
     """Faces are the squarefree b within supp(a) such that x^(a-b) lies in I."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("upper Koszul complex requires a nonzero, non-unit ideal")
-    ground = tuple(
-        v for v, e in zip(a.variables.names, a.exponents) if e > 0
-    )
-    face_masks = _koszul_face_masks(ideal, a, ground)
-    faces = frozenset(
-        frozenset(v for k, v in enumerate(ground) if mask >> k & 1)
-        for mask in face_masks
-    )
-    return SimplicialComplexOnVars(ground, faces)
-
-
-def _koszul_face_masks(
-    ideal: MonomialIdeal, a: Multidegree, ground: tuple[str, ...]
-) -> list[int]:
-    """Bitmask encoding of the upper Koszul faces, over the ground tuple."""
-    s = len(ground)
+    idx = [k for k, e in enumerate(a.exponents) if e > 0]
+    s = len(idx)
     gens = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
     avec = np.array(a.exponents, dtype=np.int64)
-    idx = np.array([a.variables.index(v) for v in ground], dtype=np.intp)
     masks = np.arange(1 << s, dtype=np.int64)
     # b as 0/1 rows over the ground-set columns
     b = (masks[:, None] >> np.arange(s)) & 1
     reduced = np.repeat(avec[None, :], 1 << s, axis=0)
     reduced[:, idx] -= b
     member = (reduced[:, None, :] >= gens[None, :, :]).all(axis=2).any(axis=1)
-    return [int(m) for m in masks[member]]
+    ground = tuple(a.variables.names[k] for k in idx)
+    return SimplicialComplexOnVars(ground, tuple(masks[member].tolist()))
 
 
 def reduced_homology_ranks(
@@ -162,24 +175,13 @@ def reduced_homology_ranks(
     """
     if complex_.is_void():
         return {}
-    ground = complex_.ground
-    pos = {v: k for k, v in enumerate(ground)}
-    masks = sorted(
-        sum(1 << pos[v] for v in face) for face in complex_.faces
-    )
-    return _homology_from_masks(masks, len(ground), field)
-
-
-def _homology_from_masks(
-    face_masks: list[int], ground_size: int, field: FieldSpec
-) -> dict[int, int]:
     by_dim: dict[int, list[int]] = {}
-    for mask in face_masks:
+    for mask in complex_.masks:
         by_dim.setdefault(bin(mask).count("1") - 1, []).append(mask)
     if -1 not in by_dim:
         raise ValueError("nonvoid complex must contain the empty face")
+    ground_size = len(complex_.ground)
     top = max(by_dim)
-    counts = {d: len(by_dim[d]) for d in by_dim}
     # rank of the boundary map from dimension d to d-1, for d = 0 .. top+1
     boundary_rank = {0: 1 if 0 in by_dim else 0, top + 1: 0}
     for d in range(1, top + 1):
@@ -195,7 +197,7 @@ def _homology_from_masks(
         boundary_rank[d] = field.rank(mat)
     ranks: dict[int, int] = {}
     for d in range(-1, top + 1):
-        r = counts.get(d, 0) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+        r = len(by_dim.get(d, ())) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
         if r:
             ranks[d] = r
     return ranks
@@ -299,13 +301,10 @@ def multigraded_betti(
             if any(exps)
         ]
     else:
-        points = sorted(lcm_lattice(ideal), key=Multidegree.sort_key)
+        points = sorted(lcm_lattice(ideal))
     entries: dict[tuple[int, Multidegree], int] = {}
     for a in points:
-        ground = tuple(v for v, e in zip(a.variables.names, a.exponents) if e > 0)
-        masks = _koszul_face_masks(ideal, a, ground)
-        if not masks:
-            continue
-        for d, r in _homology_from_masks(masks, len(ground), field).items():
+        ranks = reduced_homology_ranks(upper_koszul_complex(ideal, a), field)
+        for d, r in ranks.items():
             entries[(d + 1, a)] = r
     return BettiTable(ideal.variables, entries)

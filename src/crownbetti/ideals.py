@@ -33,15 +33,14 @@ class MonomialIdeal:
             if g.variables != self.variables:
                 raise ValueError("generator over a different variable set")
         reduced = _antichain(self.generators)
-        object.__setattr__(
-            self, "generators", tuple(sorted(reduced, key=Multidegree.sort_key))
-        )
+        object.__setattr__(self, "generators", tuple(sorted(reduced)))
 
     def is_zero(self) -> bool:
         return not self.generators
 
     def is_unit(self) -> bool:
-        return any(g.is_one() for g in self.generators)
+        # 1 divides every monomial, so a minimal generating set holding it is (1,)
+        return len(self.generators) == 1 and self.generators[0].is_one()
 
     def support(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()

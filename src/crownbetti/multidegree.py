@@ -13,7 +13,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class VariableSet:
     """Ordered collection of distinct variable labels.
 
@@ -67,10 +67,11 @@ def xy_variables(n: int) -> VariableSet:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Multidegree:
     """Nonnegative exponent vector over a VariableSet; identified with
-    the monomial it encodes."""
+    the monomial it encodes.  Over one variable set, multidegrees order
+    lexicographically by exponent vector."""
 
     variables: VariableSet
     exponents: tuple[int, ...]
@@ -113,9 +114,6 @@ class Multidegree:
             elif e > 1:
                 parts.append(f"{v}^{e}")
         return "*".join(parts)
-
-    def sort_key(self) -> tuple[int, ...]:
-        return self.exponents
 
 
 def _check_same_variables(a: Multidegree, b: Multidegree) -> None:

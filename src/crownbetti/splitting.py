@@ -105,17 +105,25 @@ def verify_betti_splitting(
         raise ValueError("G(I) must be the disjoint union of G(J) and G(K)")
     if not gj or not gk:
         return True, None
-    t_whole = multigraded_betti(whole, field)
-    t_j = multigraded_betti(j_part, field)
-    t_k = multigraded_betti(k_part, field)
-    t_meet = multigraded_betti(ideal_intersect(j_part, k_part), field)
+    meet = ideal_intersect(j_part, k_part)
+    tables = [multigraded_betti(x, field) for x in (whole, j_part, k_part, meet)]
+    witness = splitting_violation(*tables)
+    return witness is None, witness
+
+
+def splitting_violation(
+    t_whole: BettiTable, t_j: BettiTable, t_k: BettiTable, t_meet: BettiTable
+) -> Optional[tuple[int, Multidegree]]:
+    """First (i, a) with beta_{i,a}(I) != beta_{i,a}(J) + beta_{i,a}(K) +
+    beta_{i-1,a}(J ∩ K), from the tables of I, J, K and J ∩ K; None if the
+    split is a Betti splitting."""
     keys = set(t_whole.entries) | set(t_j.entries) | set(t_k.entries)
     keys |= {(i + 1, a) for (i, a) in t_meet.entries}
-    for i, a in sorted(keys, key=lambda key: (key[0], key[1].sort_key())):
+    for i, a in sorted(keys):
         expected = t_j.entry(i, a) + t_k.entry(i, a) + t_meet.entry(i - 1, a)
         if t_whole.entry(i, a) != expected:
-            return False, (i, a)
-    return True, None
+            return i, a
+    return None
 
 
 def _check_disjoint_tables(ti: BettiTable, tj: BettiTable) -> None:

@@ -100,9 +100,7 @@ class TestCrownCommand:
         def broken(n, weights):
             table = multigraded_betti_formula(n, weights)
             entries = dict(table.entries)
-            (key, value) = next(iter(sorted(
-                entries.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
-            )))
+            key, value = min(entries.items())
             entries[key] = value + 1
             return BettiTable(table.variables, entries)
 
@@ -168,6 +166,13 @@ class TestGraphCommand:
             {"vertices": ["a"], "edges": [["a", "a"]]},
             {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": ["b", 2]},
             {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": 0}},
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": None}},
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": 2.7}},
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": True}},
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": "3"}},
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"c": 2}},
+            {"vertices": "ab", "edges": [["a", "b"]]},
+            {"vertices": ["a", "b"], "edges": ["ab"]},
         ],
     )
     def test_malformed_documents_rejected(self, capsys, tmp_path, payload):
@@ -244,6 +249,8 @@ class TestVerifyCommand:
             ("verify", "--n", "5..7"),
             ("verify", "--n", "1..3"),
             ("verify", "--n", "junk"),
+            ("verify", "--n", "5..3"),
+            ("verify", "--identity", "--n-max", "-3"),
         ],
     )
     def test_usage_errors(self, capsys, argv):

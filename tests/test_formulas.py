@@ -211,6 +211,25 @@ class TestGradedFormula:
         assert sum(graded_betti_formula(n, w, 0, j) for j in range(0, 20)) == 6
 
 
+class TestCrownArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: multigraded_betti_formula(1, (1,)),
+            lambda: multigraded_betti_formula(3, (1, 1)),
+            lambda: multigraded_betti_formula(3, (0, 1, 1)),
+            lambda: multigraded_betti_formula(3, (1, 2.5, 1)),
+            lambda: regularity_formula(3, (1, 2)),
+            lambda: regularity_formula(3, (0, 1, 1)),
+            lambda: graded_betti_formula(3, (1, 2), 1, 3),
+            lambda: graded_betti_formula(1, (1,), 0, 2),
+        ],
+    )
+    def test_invalid_arguments_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestRegularityFormula:
     @pytest.mark.parametrize(
         "n,w,expected", [(3, (1, 1, 1), 3), (3, (2, 2, 2), 6), (4, (1, 1, 1, 1), 3)]

@@ -71,28 +71,41 @@ def simplex_closure(facets):
 class TestReducedHomology:
     @pytest.mark.parametrize("char", [0, 2, 32003, 4294967311])
     def test_hollow_triangle_has_h1(self, char):
-        complex_ = SimplicialComplexOnVars(
+        complex_ = SimplicialComplexOnVars.from_faces(
             ("a", "b", "c"), simplex_closure([("a", "b"), ("b", "c"), ("a", "c")])
         )
         assert reduced_homology_ranks(complex_, FieldSpec(char)) == {1: 1}
 
     @pytest.mark.parametrize("char", [0, 2, 32003, 4294967311])
     def test_two_points_have_h0(self, char):
-        complex_ = SimplicialComplexOnVars(("a", "b"), simplex_closure([("a",), ("b",)]))
+        complex_ = SimplicialComplexOnVars.from_faces(("a", "b"), simplex_closure([("a",), ("b",)]))
         assert reduced_homology_ranks(complex_, FieldSpec(char)) == {0: 1}
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_full_simplex_is_acyclic(self, size):
         ground = tuple(f"v{i}" for i in range(size))
-        complex_ = SimplicialComplexOnVars(ground, simplex_closure([ground]))
+        complex_ = SimplicialComplexOnVars.from_faces(ground, simplex_closure([ground]))
         assert reduced_homology_ranks(complex_, FieldSpec()) == {}
 
     def test_empty_face_only(self):
-        complex_ = SimplicialComplexOnVars((), frozenset({frozenset()}))
+        complex_ = SimplicialComplexOnVars.from_faces((), [()])
         assert reduced_homology_ranks(complex_, FieldSpec()) == {-1: 1}
 
     def test_void_complex(self):
-        assert reduced_homology_ranks(SimplicialComplexOnVars((), frozenset()), FieldSpec()) == {}
+        assert reduced_homology_ranks(SimplicialComplexOnVars.from_faces((), []), FieldSpec()) == {}
+
+    @pytest.mark.parametrize(
+        "faces", [[(), ("a",), ("z",)], [(), ("a",), ("a", "b")], [("a",)]]
+    )
+    def test_from_faces_rejects_bad_face_sets(self, faces):
+        # a label outside the ground set; a face set that is not downward closed
+        with pytest.raises(ValueError):
+            SimplicialComplexOnVars.from_faces(("a", "b"), faces)
+
+    def test_from_faces_masks_follow_ground_order(self):
+        complex_ = SimplicialComplexOnVars.from_faces(("a", "b"), simplex_closure([("b",)]))
+        assert complex_.masks == (0, 2)
+        assert complex_.faces == frozenset({frozenset(), frozenset({"b"})})
 
     def test_projective_plane_distinguishes_characteristic(self):
         # minimal 6-vertex triangulation: homology differs over F_2 vs F_32003
@@ -102,7 +115,7 @@ class TestReducedHomology:
         ]
         relabeled = [tuple(f"v{i}" for i in f) for f in facets]
         ground = tuple(f"v{i}" for i in range(1, 7))
-        complex_ = SimplicialComplexOnVars(ground, simplex_closure(relabeled))
+        complex_ = SimplicialComplexOnVars.from_faces(ground, simplex_closure(relabeled))
         assert reduced_homology_ranks(complex_, FieldSpec(2)) == {1: 1, 2: 1}
         assert reduced_homology_ranks(complex_, FieldSpec(32003)) == {}
         assert reduced_homology_ranks(complex_, FieldSpec(0)) == {}
