@@ -91,7 +91,7 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
     """Parse a graph interchange document.
 
     Schema: {"vertices": [label, ...], "edges": [[tail, head], ...],
-    "weights": {vertex: positive integer, ...}} with weights defaulting to 1.
+    "weights": {vertex: positive integer, ...}}; labels are strings, weights default to 1.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -107,13 +107,15 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
         raise UsageError(f"{path}: vertices must be a list of labels")
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise UsageError(f"{path}: edges must be a list of [tail, head] pairs")
+    if not all(isinstance(v, str) for v in vertices + [v for e in edges for v in e]):
+        raise UsageError(f"{path}: vertex labels and edge endpoints must be strings")
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
         raise UsageError(f"{path}: weights must be an object")
     try:
         return WeightedOrientedGraph(
-            VariableSet(tuple(str(v) for v in vertices)),
-            frozenset((str(a), str(b)) for a, b in edges),
+            VariableSet(tuple(vertices)),
+            frozenset(map(tuple, edges)),
             weights,
         )
     except ValueError as exc:

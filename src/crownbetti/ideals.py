@@ -130,21 +130,16 @@ def is_dominant(ideal: MonomialIdeal) -> bool:
 def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Multidegree]:
     """All lcms of nonempty subsets of the minimal generators.
 
-    Computed as the closure of the generator set under pairwise lcm, which
-    avoids enumerating 2^m subsets.
+    Computed as the closure of the generator exponent tuples under
+    componentwise max, which avoids enumerating 2^m subsets; a Multidegree
+    is built only for each returned point.
     """
-    points: set[Multidegree] = set(ideal.generators)
-    frontier = set(points)
+    gens = [g.exponents for g in ideal.generators]
+    points = frontier = set(gens)
     while frontier:
-        new: set[Multidegree] = set()
-        for p in frontier:
-            for g in ideal.generators:
-                q = lcm(p, g)
-                if q not in points:
-                    new.add(q)
-        points |= new
-        frontier = new
-    return frozenset(points)
+        frontier = {tuple(map(max, p, g)) for p in frontier for g in gens} - points
+        points |= frontier
+    return frozenset(Multidegree(ideal.variables, p) for p in points)
 
 
 def _check_same_ring(a: MonomialIdeal, b: MonomialIdeal) -> None:

@@ -8,6 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .graphs import crown, edge_ideal, induced_subgraph
 from .homology import BettiTable, FieldSpec, multigraded_betti
 from .ideals import (
     MonomialIdeal,
@@ -21,7 +22,6 @@ from .ideals import (
 )
 from .multidegree import (
     Multidegree,
-    VariableSet,
     binomial,
     divides,
     lcm_of,
@@ -222,8 +222,9 @@ def crown_splitting(
     b_part = minimalize(
         variables, [variables.variable(f"x{i}") for i in range(1, n)]
     )
+    first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
     j_part = ideal_sum(
-        _embedded_crown_ideal(n - 1, weights, variables),
+        edge_ideal(induced_subgraph(crown(n, weights), first_pairs)),
         scale(variables.variable(f"x{n}"), a_part),
     )
     k_part = scale(variables.variable(f"y{n}", weights[n - 1]), b_part)
@@ -243,7 +244,8 @@ def crowncolon_components(
     if not (1 <= s <= n - 1):
         raise ValueError(f"need 1 <= s <= n - 1, got s = {s} for n = {n}")
     variables = xy_variables(n)
-    sub = _embedded_crown_ideal(n - 1, weights, variables)
+    first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
+    sub = edge_ideal(induced_subgraph(crown(n, weights), first_pairs))
 
     def link(r: int) -> Multidegree:
         return (
@@ -271,17 +273,3 @@ def crowncolon_components(
             f"colon ideal P_{s} deviates from its closed form: {p} != {expected}"
         )
     return CrownColonComponents(q=q_ideal(s), p=p, c=q_ideal(n - 1))
-
-
-def _embedded_crown_ideal(
-    m: int, weights: Sequence[int], variables: VariableSet
-) -> MonomialIdeal:
-    """Edge ideal of the crown graph on the first m pairs, embedded in a
-    larger xy-variable ring."""
-    gens = [
-        variables.variable(f"x{i}") * variables.variable(f"y{j}", weights[j - 1])
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-        if i != j
-    ]
-    return minimalize(variables, gens)

@@ -173,6 +173,10 @@ class TestGraphCommand:
             {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"c": 2}},
             {"vertices": "ab", "edges": [["a", "b"]]},
             {"vertices": ["a", "b"], "edges": ["ab"]},
+            {"vertices": [None, 1], "edges": [[None, 1]], "weights": {"1": 2}},
+            {"vertices": [1, 2], "edges": [[1, 2]]},
+            {"vertices": [1.5, "b"], "edges": [[1.5, "b"]]},
+            {"vertices": ["1", "2"], "edges": [[1, 2]]},
         ],
     )
     def test_malformed_documents_rejected(self, capsys, tmp_path, payload):

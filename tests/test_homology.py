@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crownbetti import (
     BettiTable,
     FieldSpec,
     SimplicialComplexOnVars,
     VariableSet,
+    contains,
     crown,
     edge_ideal,
     lcm_lattice,
@@ -31,6 +32,12 @@ def m(x, y):
 
 I_XX_XY = minimalize(V, [m(2, 0), m(1, 1)])
 
+V4 = VariableSet(("a", "b", "c", "d"))
+# ideals of 1-5 generators over four variables, the unit ideal excluded
+ideals4 = st.lists(
+    st.tuples(*[st.integers(0, 3)] * 4).filter(any), min_size=1, max_size=5
+).map(lambda gens: minimalize(V4, [V4.monomial(g) for g in gens]))
+
 
 class TestUpperKoszul:
     def test_faces_by_enumeration(self):
@@ -40,8 +47,6 @@ class TestUpperKoszul:
         for bx, by in itertools.product((0, 1), repeat=2):
             b = m(bx, by)
             reduced = V.monomial((2 - bx, 1 - by))
-            from crownbetti import contains
-
             if contains(I_XX_XY, reduced):
                 expected.add(b.support())
         complex_ = upper_koszul_complex(I_XX_XY, a)
@@ -58,6 +63,30 @@ class TestUpperKoszul:
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
             upper_koszul_complex(minimalize(V, [m(0, 0)]), m(1, 1))
+
+    def test_point_over_other_variables_rejected(self):
+        ideal = edge_ideal(crown(2, (1, 1)))
+        with pytest.raises(ValueError):
+            upper_koszul_complex(ideal, V4.monomial((1, 1, 1, 1)))
+
+    @settings(max_examples=300)
+    @given(ideals4, st.tuples(*[st.integers(0, 4)] * 4))
+    def test_faces_match_definition(self, ideal, exps):
+        # every squarefree b within supp(a), kept when x^(a-b) lies in I
+        support = [k for k, e in enumerate(exps) if e > 0]
+
+        def reduced(mask):
+            b = [0] * len(exps)
+            for j, k in enumerate(support):
+                b[k] = mask >> j & 1
+            return V4.monomial([e - x for e, x in zip(exps, b)])
+
+        expected = tuple(
+            mask for mask in range(1 << len(support)) if contains(ideal, reduced(mask))
+        )
+        complex_ = upper_koszul_complex(ideal, V4.monomial(exps))
+        assert complex_.ground == tuple(V4.names[k] for k in support)
+        assert complex_.masks == expected
 
 
 def simplex_closure(facets):
@@ -240,7 +269,9 @@ class TestFieldSpec:
     def test_large_prime_accepted(self):
         assert FieldSpec(10**18 + 3).characteristic == 10**18 + 3
 
-    @pytest.mark.parametrize("char", [10**18 + 1, 4294967297, 3215031751, 2**64 + 13])
+    @pytest.mark.parametrize(
+        "char", [10**18 + 1, 4294967297, 3215031751, 2**64 + 13, 2.0, 32003.0, False]
+    )
     def test_large_composite_or_oversized_characteristic_rejected(self, char):
         # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
         with pytest.raises(ValueError):

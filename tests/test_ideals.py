@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crownbetti import (
     MonomialIdeal,
@@ -13,6 +15,7 @@ from crownbetti import (
     ideal_sum,
     is_dominant,
     lcm_lattice,
+    lcm_of,
     minimalize,
     scale,
     xy_variables,
@@ -205,10 +208,6 @@ class TestLcmLattice:
     @pytest.mark.parametrize("w", [(1, 1), (2, 5)])
     def test_crown2_lattice_size(self, w):
         # brute-force oracle: lcms over all nonempty generator subsets
-        from itertools import combinations
-
-        from crownbetti import lcm_of
-
         ideal = edge_ideal(crown(2, w))
         brute = {
             lcm_of(sub)
@@ -217,6 +216,17 @@ class TestLcmLattice:
         }
         assert lcm_lattice(ideal) == brute
         assert len(brute) == 3
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=5))
+    def test_matches_lcms_of_generator_subsets(self, exps):
+        v4 = VariableSet(("a", "b", "c", "d"))
+        ideal = minimalize(v4, [v4.monomial(e) for e in exps])
+        gens = ideal.generators
+        brute = {
+            lcm_of(sub) for r in range(1, len(gens) + 1) for sub in combinations(gens, r)
+        }
+        assert lcm_lattice(ideal) == brute
 
 
 class TestSupportOfIdeal:
