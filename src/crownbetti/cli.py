@@ -91,7 +91,8 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
     """Parse a graph interchange document.
 
     Schema: {"vertices": [label, ...], "edges": [[tail, head], ...],
-    "weights": {vertex: positive integer, ...}}; labels are strings, weights default to 1.
+    "weights": {vertex: positive integer, ...}}; labels are strings, weights default to 1,
+    no other key is allowed and no edge may repeat.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -102,6 +103,9 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
         raise UsageError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
+    unknown = sorted(set(data) - {"vertices", "edges", "weights"})
+    if unknown:
+        raise UsageError(f"{path}: unknown keys {unknown}; expected vertices, edges, weights")
     vertices, edges = data.get("vertices"), data.get("edges")
     if not isinstance(vertices, list):
         raise UsageError(f"{path}: vertices must be a list of labels")
@@ -109,15 +113,15 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
         raise UsageError(f"{path}: edges must be a list of [tail, head] pairs")
     if not all(isinstance(v, str) for v in vertices + [v for e in edges for v in e]):
         raise UsageError(f"{path}: vertex labels and edge endpoints must be strings")
+    edge_set = frozenset(map(tuple, edges))
+    if len(edge_set) < len(edges):
+        repeated = next(e for k, e in enumerate(edges) if e in edges[:k])
+        raise UsageError(f"{path}: edge {repeated} is listed more than once")
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
         raise UsageError(f"{path}: weights must be an object")
     try:
-        return WeightedOrientedGraph(
-            VariableSet(tuple(vertices)),
-            frozenset(map(tuple, edges)),
-            weights,
-        )
+        return WeightedOrientedGraph(VariableSet(tuple(vertices)), edge_set, weights)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
 
@@ -135,14 +139,14 @@ def cmd_graph(args) -> int:
 
 def cmd_family(args) -> int:
     kind = args.kind.replace("-", "_")
-    constructor, arity = FAMILIES[kind]
+    constructor, arity, shape = FAMILIES[kind]
     try:
         params = tuple(int(p) for p in args.params.split(","))
     except ValueError:
         raise UsageError(f"params must be comma-separated integers, got {args.params!r}")
     if len(params) != arity:
         raise UsageError(f"family {args.kind!r} takes {arity} parameter(s)")
-    n_y = params[0] if args.kind == "crown" else params[-1]
+    _, _, n_y = shape(*params)
     weights = _parse_weights(args.weights, n_y)
     try:
         top = family_top_betti(kind, params, weights)
@@ -234,11 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_table_options(p):
         p.add_argument("--field", default="32003", help="field characteristic: a prime or 0")
-        p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--raw", action="store_true", help="emit (i, j, count) triples instead of a diagram")
         p.add_argument("--multigraded", action="store_true", help="include the full multigraded table")
+
+    def add_common(p):
+        add_table_options(p)
+        p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--audit-full-lattice", action="store_true",
                        help="evaluate every multidegree below the lcm of all generators")
 
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--weights", help="comma-separated y-weights (default all 1)")
     p_family.add_argument("--oracle", action="store_true",
                           help="also compute the oracle table and check the top entry")
-    add_common(p_family)
+    add_table_options(p_family)
     p_family.set_defaults(func=cmd_family)
 
     p_verify = sub.add_parser("verify", help="formula-vs-oracle verification sweep")

@@ -10,21 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
-    SubgraphClass,
     SubgraphKind,
     WeightedOrientedGraph,
     classify_induced,
     complete_bipartite,
     crown,
     generalized_crown,
+    induced_subgraph,
     theta,
     unbalanced_crown,
 )
 from .homology import BettiTable
-from .multidegree import Multidegree, VariableSet, binomial, xy_variables
+from .multidegree import Multidegree, binomial, xy_variables
 
 
 def total_betti_closed_form(n: int, i: int) -> int:
@@ -52,12 +52,28 @@ def _check_crown_args(n: int, weights: Sequence[int]) -> None:
         raise ValueError(f"weights must be positive integers, got {tuple(weights)}")
 
 
-def _selection_theta(
-    variables: VariableSet, weights: Sequence[int], x_idx: Iterable[int], y_idx: Iterable[int]
-) -> Multidegree:
-    powers = {f"x{i}": 1 for i in x_idx}
-    powers.update({f"y{j}": weights[j - 1] for j in y_idx})
-    return variables.from_dict(powers)
+def _selections(
+    n: int, weights: Sequence[int], pairs: int, lone: int, two_sided: bool
+) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples over x1..xn, y1..yn of the selections of `pairs`
+    complete pairs {xr, yr} plus `lone` further indices, each contributing
+    either its x- or its y-vertex; with `two_sided`, the selections whose
+    lone vertices all lie on one side are dropped."""
+    sides = range(1, (1 << lone) - 1) if two_sided else range(1 << lone)
+    for paired in combinations(range(n), pairs):
+        base = [0] * (2 * n)
+        for r in paired:
+            base[r], base[n + r] = 1, weights[r]
+        rest = [r for r in range(n) if r not in paired]
+        for extra in combinations(rest, lone):
+            for side in sides:
+                exps = base.copy()
+                for pos, r in enumerate(extra):
+                    if side >> pos & 1:
+                        exps[r] = 1
+                    else:
+                        exps[n + r] = weights[r]
+                yield tuple(exps)
 
 
 def enumerate_N(
@@ -72,39 +88,20 @@ def enumerate_N(
     """
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k = {k}")
-    variables = xy_variables(n)
     singles = i + 3 - 2 * k
     if singles < 0:
         return frozenset()
-    out: set[Multidegree] = set()
-    indices = range(1, n + 1)
-    for pairs in combinations(indices, k):
-        rest = [r for r in indices if r not in pairs]
-        for extra in combinations(rest, singles):
-            for sides in range(1 << singles):
-                x_idx = set(pairs)
-                y_idx = set(pairs)
-                for pos, r in enumerate(extra):
-                    if sides >> pos & 1:
-                        x_idx.add(r)
-                    else:
-                        y_idx.add(r)
-                out.add(_selection_theta(variables, weights, x_idx, y_idx))
-    return frozenset(out)
+    variables = xy_variables(n)
+    return frozenset(
+        Multidegree(variables, e) for e in _selections(n, weights, k, singles, False)
+    )
 
 
 def enumerate_M(n: int, weights: Sequence[int], i: int) -> frozenset[Multidegree]:
     """Top multidegrees of the complete-bipartite induced subgraphs on
     i + 2 vertices with no complete pair and both sides nonempty."""
     variables = xy_variables(n)
-    size = i + 2
-    out: set[Multidegree] = set()
-    for chosen in combinations(range(1, n + 1), size):
-        for sides in range(1, (1 << size) - 1):
-            x_idx = {r for pos, r in enumerate(chosen) if sides >> pos & 1}
-            y_idx = set(chosen) - x_idx
-            out.add(_selection_theta(variables, weights, x_idx, y_idx))
-    return frozenset(out)
+    return frozenset(Multidegree(variables, e) for e in _selections(n, weights, 0, i + 2, True))
 
 
 def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:
@@ -151,12 +148,22 @@ class FamilyTopBetti:
     top_value: int
 
 
-# kind -> (graph constructor, number of integer parameters before the weights)
-FAMILIES: dict[str, tuple[Callable[..., WeightedOrientedGraph], int]] = {
-    "crown": (crown, 1),
-    "unbalanced": (unbalanced_crown, 2),
-    "generalized": (generalized_crown, 3),
-    "complete_bipartite": (complete_bipartite, 2),
+def _top_entry(pairs: int, size: int) -> tuple[int, int]:
+    """(index, value) of the top Betti entry of a generalized crown on
+    `size` vertices with `pairs` missing pairs: (size - 3, pairs - 1) for
+    pairs >= 2, and (size - 2, 1) for a complete bipartite graph."""
+    return (size - 3, pairs - 1) if pairs else (size - 2, 1)
+
+
+# kind -> (graph constructor, number of integer parameters before the weights,
+#          params -> (m, s, t) of the generalized-crown shape it builds)
+FAMILIES: dict[
+    str, tuple[Callable[..., WeightedOrientedGraph], int, Callable[..., tuple[int, int, int]]]
+] = {
+    "crown": (crown, 1, lambda n: (n, n, n)),
+    "unbalanced": (unbalanced_crown, 2, lambda s, t: (t, s, t)),
+    "generalized": (generalized_crown, 3, lambda m, s, t: (m, s, t)),
+    "complete_bipartite": (complete_bipartite, 2, lambda s, t: (0, s, t)),
 }
 
 
@@ -171,21 +178,13 @@ def family_top_betti(
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown family kind: {kind!r}")
-    constructor, arity = FAMILIES[kind]
+    constructor, arity, shape = FAMILIES[kind]
     if len(params) != arity:
         raise ValueError(f"family {kind!r} takes {arity} parameter(s)")
     top = theta(constructor(*params, weights))
-    if kind == "crown":
-        (s,) = params
-        return FamilyTopBetti(2 * s - 3, top, s - 1)
-    if kind == "unbalanced":
-        s, t = params
-        return FamilyTopBetti(s + t - 3, top, t - 1)
-    if kind == "generalized":
-        m, s, t = params
-        return FamilyTopBetti(s + t - 3, top, m - 1)
-    s, t = params
-    return FamilyTopBetti(s + t - 2, top, 1)
+    m, s, t = shape(*params)
+    index, value = _top_entry(m, s + t)
+    return FamilyTopBetti(index, top, value)
 
 
 def predicted_contribution(
@@ -201,10 +200,5 @@ def predicted_contribution(
     cls = classify_induced(n, chosen)
     if cls.kind in (SubgraphKind.ONE_PAIR, SubgraphKind.DEGENERATE):
         return None
-    variables = xy_variables(n)
-    x_idx = {int(v[1:]) for v in chosen if v.startswith("x")}
-    y_idx = {int(v[1:]) for v in chosen if v.startswith("y")}
-    top = _selection_theta(variables, weights, x_idx, y_idx)
-    if cls.kind is SubgraphKind.CROWN_LIKE:
-        return len(chosen) - 3, top, cls.pairs - 1
-    return len(chosen) - 2, top, 1
+    index, value = _top_entry(cls.pairs, len(chosen))
+    return index, theta(induced_subgraph(crown(n, weights), chosen)), value

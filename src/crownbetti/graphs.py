@@ -3,8 +3,8 @@
 A weighted oriented graph carries a positive integer weight on each vertex;
 its edge ideal is generated by tail * head^weight(head) over the directed
 edges.  The four families here (crown, unbalanced crown, generalized crown,
-complete bipartite) all live on vertex sets {x1..xs} u {y1..yt} with every
-edge oriented x -> y.
+complete bipartite) are one shape: on x1..xs, y1..yt, every edge xi -> yj
+except the m missing pairs (xr, yr), r <= m.
 """
 
 from __future__ import annotations
@@ -66,38 +66,31 @@ def edge_ideal(graph: WeightedOrientedGraph) -> MonomialIdeal:
     return minimalize(graph.vertices, gens)
 
 
-def _xy_weights(n_y: int, weights: Sequence[int]) -> dict[str, int]:
-    if len(weights) != n_y:
-        raise ValueError(f"expected {n_y} weights, got {len(weights)}")
-    return {f"y{j}": w for j, w in enumerate(weights, start=1)}
+def _xy_graph(m: int, s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
+    """The graph on x1..xs, y1..yt with every edge (xi, yj) except the m
+    missing pairs (xr, yr), r <= m; weights are those of y1..yt."""
+    if len(weights) != t:
+        raise ValueError(f"expected {t} weights, got {len(weights)}")
+    xs = tuple(f"x{i}" for i in range(1, s + 1))
+    ys = tuple(f"y{j}" for j in range(1, t + 1))
+    edges = frozenset(
+        (x, y) for i, x in enumerate(xs, 1) for j, y in enumerate(ys, 1) if i != j or i > m
+    )
+    return WeightedOrientedGraph(VariableSet(xs + ys), edges, dict(zip(ys, weights)))
 
 
 def crown(n: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """Crown graph on x1..xn, y1..yn: every edge (xi, yj) with i != j."""
     if n < 2:
         raise ValueError(f"crown graph needs n >= 2, got {n}")
-    edges = {
-        (f"x{i}", f"y{j}") for i in range(1, n + 1) for j in range(1, n + 1) if i != j
-    }
-    return WeightedOrientedGraph(xy_variables(n), frozenset(edges), _xy_weights(n, weights))
-
-
-def _bipartite_variables(s: int, t: int) -> VariableSet:
-    return VariableSet(
-        tuple(f"x{i}" for i in range(1, s + 1)) + tuple(f"y{j}" for j in range(1, t + 1))
-    )
+    return _xy_graph(n, n, n, weights)
 
 
 def unbalanced_crown(s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """Unbalanced crown on x1..xs, y1..yt with 1 < t < s: edges (xi, yj), i != j."""
     if not (1 < t < s):
         raise ValueError(f"unbalanced crown needs 1 < t < s, got (s, t) = ({s}, {t})")
-    edges = {
-        (f"x{i}", f"y{j}") for i in range(1, s + 1) for j in range(1, t + 1) if i != j
-    }
-    return WeightedOrientedGraph(
-        _bipartite_variables(s, t), frozenset(edges), _xy_weights(t, weights)
-    )
+    return _xy_graph(t, s, t, weights)
 
 
 def generalized_crown(m: int, s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
@@ -111,22 +104,14 @@ def generalized_crown(m: int, s: int, t: int, weights: Sequence[int]) -> Weighte
         raise ValueError(
             f"generalized crown needs 1 < m < s and m < t, got (m, s, t) = ({m}, {s}, {t})"
         )
-    edges = {
-        (f"x{i}", f"y{j}") for i in range(1, m + 1) for j in range(1, t + 1) if i != j
-    } | {(f"x{i}", f"y{j}") for i in range(m + 1, s + 1) for j in range(1, t + 1)}
-    return WeightedOrientedGraph(
-        _bipartite_variables(s, t), frozenset(edges), _xy_weights(t, weights)
-    )
+    return _xy_graph(m, s, t, weights)
 
 
 def complete_bipartite(s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """Complete bipartite graph on x1..xs, y1..yt, all edges oriented x -> y."""
     if s < 1 or t < 1:
         raise ValueError(f"complete bipartite needs s, t >= 1, got ({s}, {t})")
-    edges = {(f"x{i}", f"y{j}") for i in range(1, s + 1) for j in range(1, t + 1)}
-    return WeightedOrientedGraph(
-        _bipartite_variables(s, t), frozenset(edges), _xy_weights(t, weights)
-    )
+    return _xy_graph(0, s, t, weights)
 
 
 def induced_subgraph(

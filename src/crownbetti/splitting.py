@@ -206,6 +206,13 @@ class CrownColonComponents:
     c: MonomialIdeal
 
 
+def _crown_without_last_pair(n: int, weights: Sequence[int]) -> MonomialIdeal:
+    """I_{n-1}: the edge ideal of the crown on the first n - 1 pairs, inside
+    the 2n-variable ring of the crown graph on n pairs."""
+    first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
+    return edge_ideal(induced_subgraph(crown(n, weights), first_pairs))
+
+
 def crown_splitting(
     n: int, weights: Sequence[int]
 ) -> tuple[MonomialIdeal, MonomialIdeal]:
@@ -222,10 +229,8 @@ def crown_splitting(
     b_part = minimalize(
         variables, [variables.variable(f"x{i}") for i in range(1, n)]
     )
-    first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
     j_part = ideal_sum(
-        edge_ideal(induced_subgraph(crown(n, weights), first_pairs)),
-        scale(variables.variable(f"x{n}"), a_part),
+        _crown_without_last_pair(n, weights), scale(variables.variable(f"x{n}"), a_part)
     )
     k_part = scale(variables.variable(f"y{n}", weights[n - 1]), b_part)
     return j_part, k_part
@@ -244,8 +249,7 @@ def crowncolon_components(
     if not (1 <= s <= n - 1):
         raise ValueError(f"need 1 <= s <= n - 1, got s = {s} for n = {n}")
     variables = xy_variables(n)
-    first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
-    sub = edge_ideal(induced_subgraph(crown(n, weights), first_pairs))
+    sub = _crown_without_last_pair(n, weights)
 
     def link(r: int) -> Multidegree:
         return (

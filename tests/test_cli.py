@@ -15,7 +15,10 @@ from crownbetti.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -177,6 +180,8 @@ class TestGraphCommand:
             {"vertices": [1, 2], "edges": [[1, 2]]},
             {"vertices": [1.5, "b"], "edges": [[1.5, "b"]]},
             {"vertices": ["1", "2"], "edges": [[1, 2]]},
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "weigths": {"b": 5}},
+            {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]},
         ],
     )
     def test_malformed_documents_rejected(self, capsys, tmp_path, payload):
@@ -220,12 +225,16 @@ class TestFamilyCommand:
             ("family", "unbalanced", "--params", "2,2"),
             ("family", "generalized", "--params", "3,4,3"),
             ("family", "crown", "--params", "a"),
+            ("family", "crown", "--params", "3", "--output", "json"),
+            ("family", "crown", "--params", "3", "--audit-full-lattice"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
-        assert err.startswith("error:")
+        # argparse reports an option family does not take after its usage line
+        last = err.splitlines()[-1]
+        assert last.startswith(("error:", "crownbetti: error: unrecognized arguments:"))
 
 
 class TestVerifyCommand:

@@ -1,9 +1,12 @@
 import itertools
+from collections import defaultdict
 
 import pytest
 
 from crownbetti import (
+    SubgraphKind,
     binomial,
+    classify_induced,
     complete_bipartite,
     crown,
     edge_ideal,
@@ -87,6 +90,23 @@ class TestEnumerateN:
                 for a in enumerate_N(n, w, i, k):
                     sub = induced_subgraph(graph, a.support())
                     assert theta(sub) == a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_enumerations_match_induced_subgraph_thetas(n):
+    # theta of every contributing induced subgraph, by (pair count, size)
+    w = (2, 1, 3, 1, 2)[:n]
+    graph = crown(n, w)
+    thetas = defaultdict(set)
+    for size in range(2 * n + 1):
+        for subset in itertools.combinations(graph.vertices.names, size):
+            cls = classify_induced(n, subset)
+            if cls.kind in (SubgraphKind.CROWN_LIKE, SubgraphKind.COMPLETE_BIPARTITE):
+                thetas[cls.pairs, size].add(theta(induced_subgraph(graph, subset)))
+    for i in range(-1, 2 * n):
+        assert enumerate_M(n, w, i) == thetas[0, i + 2]
+        for k in range(2, n + 1):
+            assert enumerate_N(n, w, i, k) == thetas[k, i + 3]
 
 
 class TestEnumerateM:

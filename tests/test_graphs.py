@@ -104,6 +104,68 @@ class TestFamilies:
         assert edge_ideal(graph) == ideal_product(a, b)
 
 
+def reference_family(kind, params, weights):
+    """(vertex labels, edges, weights) of a family member from its own edge
+    definition, or the ValueError message the constructor should raise."""
+    if kind == "crown":
+        (n,) = params
+        if n < 2:
+            return f"crown graph needs n >= 2, got {n}"
+        s = t = n
+        edges = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    elif kind == "unbalanced":
+        s, t = params
+        if not (1 < t < s):
+            return f"unbalanced crown needs 1 < t < s, got (s, t) = ({s}, {t})"
+        edges = {(i, j) for i in range(1, s + 1) for j in range(1, t + 1) if i != j}
+    elif kind == "generalized":
+        m, s, t = params
+        if not (1 < m < s and m < t):
+            return f"generalized crown needs 1 < m < s and m < t, got (m, s, t) = ({m}, {s}, {t})"
+        edges = {(i, j) for i in range(1, m + 1) for j in range(1, t + 1) if i != j} | {
+            (i, j) for i in range(m + 1, s + 1) for j in range(1, t + 1)
+        }
+    else:
+        s, t = params
+        if s < 1 or t < 1:
+            return f"complete bipartite needs s, t >= 1, got ({s}, {t})"
+        edges = {(i, j) for i in range(1, s + 1) for j in range(1, t + 1)}
+    if len(weights) != t:
+        return f"expected {t} weights, got {len(weights)}"
+    xs = tuple(f"x{i}" for i in range(1, s + 1))
+    ys = tuple(f"y{j}" for j in range(1, t + 1))
+    return (
+        xs + ys,
+        {(f"x{i}", f"y{j}") for i, j in edges},
+        {**{x: 1 for x in xs}, **dict(zip(ys, weights))},
+    )
+
+
+CONSTRUCTORS = {
+    "crown": crown,
+    "unbalanced": unbalanced_crown,
+    "generalized": generalized_crown,
+    "complete_bipartite": complete_bipartite,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTORS))
+def test_constructors_match_reference_definitions(kind):
+    constructor = CONSTRUCTORS[kind]
+    arity = constructor.__code__.co_argcount - 1
+    for params in itertools.product(range(0, 5), repeat=arity):
+        for count in {params[-1], params[-1] + 1}:
+            weights = tuple(range(2, count + 2))
+            expected = reference_family(kind, params, weights)
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as info:
+                    constructor(*params, weights)
+                assert str(info.value) == expected
+                continue
+            graph = constructor(*params, weights)
+            assert (graph.vertices.names, set(graph.edges), graph.weights) == expected
+
+
 class TestInducedSubgraph:
     def test_full_vertex_set_is_identity(self):
         graph = crown(3, (1, 2, 3))
