@@ -1,8 +1,9 @@
 """Betti numbers of edge ideals of weighted oriented crown graphs.
 
 Closed-form multigraded, graded, and total Betti numbers for the crown
-family, cross-checked against a brute-force simplicial-homology oracle
-that works for arbitrary monomial ideals.
+and the other generalized-crown shapes, cross-checked against a
+brute-force simplicial-homology oracle that works for arbitrary monomial
+ideals.
 """
 
 from .multidegree import (
@@ -29,10 +30,7 @@ from .ideals import (
     scale,
 )
 from .graphs import (
-    SubgraphClass,
-    SubgraphKind,
     WeightedOrientedGraph,
-    classify_induced,
     complete_bipartite,
     crown,
     edge_ideal,
@@ -78,6 +76,7 @@ from .formulas import (
     multigraded_betti_formula,
     predicted_contribution,
     regularity_formula,
+    shape_betti_formula,
     total_betti_closed_form,
 )
 

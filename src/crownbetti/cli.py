@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import checks
-from .formulas import FAMILIES, family_top_betti, multigraded_betti_formula
+from .formulas import FAMILIES, family_top_betti, multigraded_betti_formula, shape_betti_formula
 from .graphs import WeightedOrientedGraph, crown, edge_ideal
 from .homology import BettiTable, FieldSpec, multigraded_betti
 from .multidegree import VariableSet
@@ -75,16 +75,21 @@ def cmd_crown(args) -> int:
     if args.mode in ("formula", "both"):
         formula = multigraded_betti_formula(args.n, weights)
     if args.mode == "both" and oracle != formula:
-        keys = set(oracle.entries) | set(formula.entries)
-        i, a = min(k for k in keys if oracle.entries.get(k) != formula.entries.get(k))
-        print(
-            f"mismatch at beta_({i}, {a}): oracle={oracle.entry(i, a)} "
-            f"formula={formula.entry(i, a)}",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
+        return _report_mismatch(oracle, formula)
     _emit(oracle if oracle is not None else formula, args)
     return EXIT_OK
+
+
+def _report_mismatch(oracle: BettiTable, formula: BettiTable) -> int:
+    """Print the first entry where the two tables differ; the mismatch code."""
+    keys = set(oracle.entries) | set(formula.entries)
+    i, a = min(k for k in keys if oracle.entries.get(k) != formula.entries.get(k))
+    print(
+        f"mismatch at beta_({i}, {a}): oracle={oracle.entry(i, a)} "
+        f"formula={formula.entry(i, a)}",
+        file=sys.stderr,
+    )
+    return EXIT_MISMATCH
 
 
 def load_graph_document(path: str) -> WeightedOrientedGraph:
@@ -159,14 +164,11 @@ def cmd_family(args) -> int:
         graph = constructor(*params, weights)
         table = multigraded_betti(edge_ideal(graph), _parse_field(args.field))
         print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
-        ok = (
-            table.pdim() == top.pdim
-            and table.entry(top.pdim, top.top_multidegree) == top.top_value
-            and table.total()[top.pdim] == top.top_value
-        )
-        print(f"top entry check: {'pass' if ok else 'FAIL'}")
+        formula = shape_betti_formula(*shape(*params), weights)
+        ok = table == formula
+        print(f"table check: {'pass' if ok else 'FAIL'}")
         if not ok:
-            return EXIT_MISMATCH
+            return _report_mismatch(table, formula)
     return EXIT_OK
 
 
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--params", required=True, help="comma-separated family parameters")
     p_family.add_argument("--weights", help="comma-separated y-weights (default all 1)")
     p_family.add_argument("--oracle", action="store_true",
-                          help="also compute the oracle table and check the top entry")
+                          help="also compute the oracle table and check it against the formula")
     add_table_options(p_family)
     p_family.set_defaults(func=cmd_family)
 

@@ -1,21 +1,23 @@
-"""Closed forms for Betti numbers of crown-type edge ideals.
+"""Closed forms for Betti numbers of generalized-crown edge ideals.
 
-Everything here is pure combinatorics on vertex selections: the multidegrees
-carrying nonzero Betti numbers come in two families, the crown-like
-selections with k >= 2 complete pairs (multiplicity k - 1) and the
-complete-bipartite selections with no pair (multiplicity 1).
+A shape (m, s, t) is the graph on x1..xs, y1..yt with every edge xi -> yj
+except the m missing pairs (xr, yr), r <= m, and weights on y1..yt; the
+crown on n pairs is (n, n, n).  Every induced subgraph of a shape is again
+one, and by the induced-subgraph approach beta_{i,a} is nonzero only at
+a = theta(G[W]) for a vertex set W with no isolated vertex, where it is the
+top Betti number of G[W]: k - 1 if W holds k >= 2 missing pairs, 1 if it
+holds none, 0 if it holds one.  Everything here is pure combinatorics on
+those vertex selections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
-    SubgraphKind,
     WeightedOrientedGraph,
-    classify_induced,
     complete_bipartite,
     crown,
     generalized_crown,
@@ -24,7 +26,7 @@ from .graphs import (
     unbalanced_crown,
 )
 from .homology import BettiTable
-from .multidegree import Multidegree, binomial, xy_variables
+from .multidegree import Multidegree, _xy_variables, binomial
 
 
 def total_betti_closed_form(n: int, i: int) -> int:
@@ -43,98 +45,113 @@ def total_betti_closed_form(n: int, i: int) -> int:
     return total
 
 
-def _check_crown_args(n: int, weights: Sequence[int]) -> None:
-    if n < 2:
-        raise ValueError(f"crown graph needs n >= 2, got {n}")
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
+def _check_shape(m: int, s: int, t: int, weights: Sequence[int]) -> None:
+    if not (s >= 1 and t >= 1 and 0 <= m <= min(s, t)):
+        raise ValueError(
+            f"a shape needs s, t >= 1 and 0 <= m <= min(s, t), got (m, s, t) = ({m}, {s}, {t})"
+        )
+    if (m, s, t) == (1, 1, 1):
+        raise ValueError("the shape (1, 1, 1) has no edges")
+    if len(weights) != t:
+        raise ValueError(f"expected {t} weights, got {len(weights)}")
     if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in weights):
         raise ValueError(f"weights must be positive integers, got {tuple(weights)}")
 
 
 def _selections(
-    n: int, weights: Sequence[int], pairs: int, lone: int, two_sided: bool
+    m: int, s: int, t: int, weights: Sequence[int], pairs: int, lone: int, two_sided: bool
 ) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples over x1..xn, y1..yn of the selections of `pairs`
-    complete pairs {xr, yr} plus `lone` further indices, each contributing
-    either its x- or its y-vertex; with `two_sided`, the selections whose
-    lone vertices all lie on one side are dropped."""
-    sides = range(1, (1 << lone) - 1) if two_sided else range(1 << lone)
-    for paired in combinations(range(n), pairs):
-        base = [0] * (2 * n)
+    """Exponent tuples over x1..xs, y1..yt of the vertex selections of the
+    shape (m, s, t) made of `pairs` missing pairs {xr, yr}, r <= m, plus
+    `lone` further slots: an unpaired r <= m gives xr or yr, and each xr
+    or yr with r > m is its own slot.  With `two_sided`, the selections
+    whose vertices all lie on one side are dropped."""
+    _check_shape(m, s, t, weights)
+    if lone < 0:
+        return
+    for paired in combinations(range(m), pairs):
+        base = [0] * (s + t)
         for r in paired:
-            base[r], base[n + r] = 1, weights[r]
-        rest = [r for r in range(n) if r not in paired]
-        for extra in combinations(rest, lone):
-            for side in sides:
+            base[r], base[s + r] = 1, weights[r]
+        slots = [((r, 1), (s + r, weights[r])) for r in range(m) if r not in paired]
+        slots += [((r, 1),) for r in range(m, s)]
+        slots += [((s + r, weights[r]),) for r in range(m, t)]
+        for extra in combinations(slots, lone):
+            for choice in product(*extra):
                 exps = base.copy()
-                for pos, r in enumerate(extra):
-                    if side >> pos & 1:
-                        exps[r] = 1
-                    else:
-                        exps[n + r] = weights[r]
+                for pos, e in choice:
+                    exps[pos] = e
+                if two_sided and not (any(exps[:s]) and any(exps[s:])):
+                    continue
                 yield tuple(exps)
 
 
 def enumerate_N(
-    n: int, weights: Sequence[int], i: int, k: int
+    m: int, s: int, t: int, weights: Sequence[int], i: int, k: int
 ) -> frozenset[Multidegree]:
-    """Top multidegrees of the crown-like induced subgraphs with exactly k
-    complete pairs on i + 3 vertices.
+    """theta(G[W]) over the vertex sets W of the shape (m, s, t) with
+    exactly k >= 2 missing pairs and i + 3 vertices.
 
-    A selection is k pair indices plus i + 3 - 2k leftover indices, each
-    contributing either its x- or its y-vertex; its multidegree is the
+    W is k pair indices plus i + 3 - 2k further slots; theta(G[W]) is the
     product of the chosen x's and the chosen y's raised to their weights.
     """
-    if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got k = {k}")
-    singles = i + 3 - 2 * k
-    if singles < 0:
-        return frozenset()
-    variables = xy_variables(n)
+    if k < 2 or k > m:
+        raise ValueError(f"need 2 <= k <= m, got k = {k}")
+    variables = _xy_variables(s, t)
     return frozenset(
-        Multidegree(variables, e) for e in _selections(n, weights, k, singles, False)
+        Multidegree(variables, e) for e in _selections(m, s, t, weights, k, i + 3 - 2 * k, False)
     )
 
 
-def enumerate_M(n: int, weights: Sequence[int], i: int) -> frozenset[Multidegree]:
-    """Top multidegrees of the complete-bipartite induced subgraphs on
-    i + 2 vertices with no complete pair and both sides nonempty."""
-    variables = xy_variables(n)
-    return frozenset(Multidegree(variables, e) for e in _selections(n, weights, 0, i + 2, True))
+def enumerate_M(m: int, s: int, t: int, weights: Sequence[int], i: int) -> frozenset[Multidegree]:
+    """theta(G[W]) over the vertex sets W of the shape (m, s, t) with no
+    missing pair, i + 2 vertices and both sides nonempty."""
+    variables = _xy_variables(s, t)
+    return frozenset(
+        Multidegree(variables, e) for e in _selections(m, s, t, weights, 0, i + 2, True)
+    )
+
+
+def _index_entries(
+    m: int, s: int, t: int, weights: Sequence[int], i: int
+) -> Iterator[tuple[Multidegree, int]]:
+    """The nonzero (a, beta_{i,a}) of the shape at index i: one per vertex
+    set W with no isolated vertex, valued by the top entry of G[W].  The
+    one-pair sets are left out: their top value is 0."""
+    for k in range(2, m + 1):
+        _, value = _top_entry(k, i + 3)
+        for a in enumerate_N(m, s, t, weights, i, k):
+            yield a, value
+    _, value = _top_entry(0, i + 2)
+    for a in enumerate_M(m, s, t, weights, i):
+        yield a, value
+
+
+def shape_betti_formula(m: int, s: int, t: int, weights: Sequence[int]) -> BettiTable:
+    """Predicted multigraded Betti table of the edge ideal of the shape
+    (m, s, t) with y-weights `weights`."""
+    _check_shape(m, s, t, weights)
+    entries = {
+        (i, a): value
+        for i in range(s + t - 1)  # a vertex set W reaches index |W| - 2 at most
+        for a, value in _index_entries(m, s, t, weights, i)
+    }
+    return BettiTable(_xy_variables(s, t), entries)
 
 
 def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:
-    """Predicted multigraded Betti table of the crown edge ideal:
-    multiplicity k - 1 on the k-pair selections, 1 on the pair-free ones."""
-    _check_crown_args(n, weights)
-    variables = xy_variables(n)
-    entries: dict[tuple[int, Multidegree], int] = {}
-    for i in range(0, 2 * n - 2):
-        for k in range(2, n + 1):
-            for a in enumerate_N(n, weights, i, k):
-                entries[(i, a)] = k - 1
-        for a in enumerate_M(n, weights, i):
-            entries[(i, a)] = 1
-    return BettiTable(variables, entries)
+    """Predicted multigraded Betti table of the crown edge ideal."""
+    return shape_betti_formula(n, n, n, weights)
 
 
 def graded_betti_formula(n: int, weights: Sequence[int], i: int, j: int) -> int:
     """Predicted graded Betti number beta_{i,j} of the crown edge ideal."""
-    _check_crown_args(n, weights)
-    count = sum(
-        (k - 1)
-        for k in range(2, n + 1)
-        for a in enumerate_N(n, weights, i, k)
-        if a.degree() == j
-    )
-    count += sum(1 for a in enumerate_M(n, weights, i) if a.degree() == j)
-    return count
+    return sum(value for a, value in _index_entries(n, n, n, weights, i) if a.degree() == j)
 
 
 def regularity_formula(n: int, weights: Sequence[int]) -> int:
     """Regularity of the crown edge ideal: sum of weights - n + 3."""
-    _check_crown_args(n, weights)
+    _check_shape(n, n, n, weights)
     return sum(weights) - n + 3
 
 
@@ -149,9 +166,10 @@ class FamilyTopBetti:
 
 
 def _top_entry(pairs: int, size: int) -> tuple[int, int]:
-    """(index, value) of the top Betti entry of a generalized crown on
-    `size` vertices with `pairs` missing pairs: (size - 3, pairs - 1) for
-    pairs >= 2, and (size - 2, 1) for a complete bipartite graph."""
+    """(index, value) of the top Betti entry of a shape on `size` vertices,
+    none of them isolated, with `pairs` missing pairs: (size - 3, pairs - 1)
+    for pairs >= 1, so value 0 for one pair, and (size - 2, 1) for a
+    complete bipartite graph."""
     return (size - 3, pairs - 1) if pairs else (size - 2, 1)
 
 
@@ -181,24 +199,23 @@ def family_top_betti(
     constructor, arity, shape = FAMILIES[kind]
     if len(params) != arity:
         raise ValueError(f"family {kind!r} takes {arity} parameter(s)")
-    top = theta(constructor(*params, weights))
+    graph = constructor(*params, weights)
     m, s, t = shape(*params)
     index, value = _top_entry(m, s + t)
-    return FamilyTopBetti(index, top, value)
+    # no vertex is isolated, so theta is x_i for i <= s times y_j^{w_j} for j <= t
+    return FamilyTopBetti(index, Multidegree(graph.vertices, (1,) * s + tuple(weights)), value)
 
 
 def predicted_contribution(
     n: int, weights: Sequence[int], subset: Iterable[str]
 ) -> Optional[tuple[int, Multidegree, int]]:
-    """Top Betti contribution of the induced subgraph on a vertex subset.
-
-    Crown-like selections with k pairs contribute (|W| - 3, theta, k - 1);
-    pair-free two-sided selections contribute (|W| - 2, theta, 1);
-    one-pair and degenerate selections contribute nothing.
-    """
+    """Top Betti contribution (index, theta, value) of the induced subgraph
+    of the crown on a vertex subset W, or None when W has an isolated
+    vertex (an edgeless W included) or holds exactly one pair {xr, yr}."""
     chosen = set(subset)
-    cls = classify_induced(n, chosen)
-    if cls.kind in (SubgraphKind.ONE_PAIR, SubgraphKind.DEGENERATE):
+    sub = induced_subgraph(crown(n, weights), chosen)
+    pairs = sum(f"y{v[1:]}" in chosen for v in chosen if v[0] == "x")
+    if not sub.edges or sub.non_isolated() != chosen or pairs == 1:
         return None
-    index, value = _top_entry(cls.pairs, len(chosen))
-    return index, theta(induced_subgraph(crown(n, weights), chosen)), value
+    index, value = _top_entry(pairs, len(chosen))
+    return index, theta(sub), value

@@ -3,18 +3,19 @@
 A weighted oriented graph carries a positive integer weight on each vertex;
 its edge ideal is generated by tail * head^weight(head) over the directed
 edges.  The four families here (crown, unbalanced crown, generalized crown,
-complete bipartite) are one shape: on x1..xs, y1..yt, every edge xi -> yj
-except the m missing pairs (xr, yr), r <= m.
+complete bipartite) are each a shape (m, s, t): on x1..xs, y1..yt, every
+edge xi -> yj except the m missing pairs (xr, yr), r <= m.  An induced
+subgraph of a shape, less its isolated vertices, is again a shape up to
+renaming; its missing pairs are the pairs {xr, yr}, r <= m, that it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .ideals import MonomialIdeal, minimalize
-from .multidegree import Multidegree, VariableSet, lcm_of, xy_variables
+from .multidegree import Multidegree, VariableSet, _xy_variables, lcm_of
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,17 @@ def edge_ideal(graph: WeightedOrientedGraph) -> MonomialIdeal:
 
 
 def _xy_graph(m: int, s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
-    """The graph on x1..xs, y1..yt with every edge (xi, yj) except the m
-    missing pairs (xr, yr), r <= m; weights are those of y1..yt."""
+    """The shape (m, s, t): the graph on x1..xs, y1..yt with every edge
+    (xi, yj) except the m missing pairs (xr, yr), r <= m; weights are
+    those of y1..yt."""
     if len(weights) != t:
         raise ValueError(f"expected {t} weights, got {len(weights)}")
-    xs = tuple(f"x{i}" for i in range(1, s + 1))
-    ys = tuple(f"y{j}" for j in range(1, t + 1))
+    vertices = _xy_variables(s, t)
+    xs, ys = vertices.names[:s], vertices.names[s:]
     edges = frozenset(
         (x, y) for i, x in enumerate(xs, 1) for j, y in enumerate(ys, 1) if i != j or i > m
     )
-    return WeightedOrientedGraph(VariableSet(xs + ys), edges, dict(zip(ys, weights)))
+    return WeightedOrientedGraph(vertices, edges, dict(zip(ys, weights)))
 
 
 def crown(n: int, weights: Sequence[int]) -> WeightedOrientedGraph:
@@ -128,48 +130,6 @@ def induced_subgraph(
         raise ValueError(f"vertices not in the graph: {sorted(unknown)}")
     edges = {(a, b) for a, b in graph.edges if a in keep and b in keep}
     return WeightedOrientedGraph(graph.vertices, frozenset(edges), dict(graph.weights))
-
-
-class SubgraphKind(Enum):
-    CROWN_LIKE = "crown_like"
-    COMPLETE_BIPARTITE = "complete_bipartite"
-    ONE_PAIR = "one_pair"
-    DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class SubgraphClass:
-    kind: SubgraphKind
-    pairs: int = 0
-
-    def __post_init__(self):
-        if self.kind is SubgraphKind.CROWN_LIKE and self.pairs < 2:
-            raise ValueError("crown-like class needs at least 2 complete pairs")
-
-
-def classify_induced(n: int, subset: Iterable[str]) -> SubgraphClass:
-    """Classify an induced subgraph of the crown graph on 2n vertices by its
-    number of complete pairs {xi, yi}.
-
-    k >= 2 pairs gives the crown-like class whose top Betti number is k - 1;
-    zero pairs with both sides present gives a complete bipartite subgraph;
-    one pair, or an edgeless selection, contributes nothing.
-    """
-    chosen = set(subset)
-    unknown = chosen - set(xy_variables(n).names)
-    if unknown:
-        raise ValueError(f"vertices not in the crown graph: {sorted(unknown)}")
-    x_idx = {int(v[1:]) for v in chosen if v.startswith("x")}
-    y_idx = {int(v[1:]) for v in chosen if v.startswith("y")}
-    k = len(x_idx & y_idx)
-    has_edge = any(i != j for i in x_idx for j in y_idx)
-    if not has_edge:
-        return SubgraphClass(SubgraphKind.DEGENERATE)
-    if k >= 2:
-        return SubgraphClass(SubgraphKind.CROWN_LIKE, pairs=k)
-    if k == 1:
-        return SubgraphClass(SubgraphKind.ONE_PAIR, pairs=1)
-    return SubgraphClass(SubgraphKind.COMPLETE_BIPARTITE)
 
 
 def theta(graph: WeightedOrientedGraph) -> Multidegree:

@@ -59,12 +59,16 @@ class VariableSet:
         return Multidegree(self, tuple(exps))
 
 
+def _xy_variables(s: int, t: int) -> VariableSet:
+    """The universe x1..xs, y1..yt of a generalized-crown shape, in that order."""
+    return VariableSet(
+        tuple(f"x{i}" for i in range(1, s + 1)) + tuple(f"y{j}" for j in range(1, t + 1))
+    )
+
+
 def xy_variables(n: int) -> VariableSet:
     """The canonical universe x1..xn, y1..yn used by the crown families."""
-    return VariableSet(
-        tuple(f"x{i}" for i in range(1, n + 1))
-        + tuple(f"y{i}" for i in range(1, n + 1))
-    )
+    return _xy_variables(n, n)
 
 
 @dataclass(frozen=True, order=True)

@@ -8,6 +8,7 @@ from crownbetti import (
     edge_ideal,
     multigraded_betti,
     multigraded_betti_formula,
+    shape_betti_formula,
     table_from_json_dict,
     xy_variables,
 )
@@ -205,7 +206,7 @@ class TestFamilyCommand:
             "--weights", "2,1,3", "--oracle",
         )
         assert code == EXIT_OK
-        assert "top entry check: pass" in out
+        assert "table check: pass" in out
         assert "top value: 1" in out  # m - 1
 
     def test_complete_bipartite_with_oracle(self, capsys):
@@ -216,7 +217,24 @@ class TestFamilyCommand:
         )
         assert code == EXIT_OK
         assert "pdim: 3" in out
-        assert "top entry check: pass" in out
+        assert "table check: pass" in out
+
+    def test_table_mismatch_exit_code(self, capsys, monkeypatch):
+        # perturb the shape formula so the whole-table comparison must fail
+        import crownbetti.cli as cli_module
+
+        def broken(m, s, t, weights):
+            table = shape_betti_formula(m, s, t, weights)
+            entries = dict(table.entries)
+            key, value = max(entries.items())
+            entries[key] = value + 1
+            return BettiTable(table.variables, entries)
+
+        monkeypatch.setattr(cli_module, "shape_betti_formula", broken)
+        code, out, err = run(capsys, "family", "unbalanced", "--params", "4,3", "--oracle")
+        assert code == EXIT_MISMATCH
+        assert "table check: FAIL" in out
+        assert "mismatch at beta_(" in err
 
     @pytest.mark.parametrize(
         "argv",

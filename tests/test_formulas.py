@@ -1,12 +1,11 @@
 import itertools
+import time
 from collections import defaultdict
 
 import pytest
 
 from crownbetti import (
-    SubgraphKind,
     binomial,
-    classify_induced,
     complete_bipartite,
     crown,
     edge_ideal,
@@ -20,11 +19,13 @@ from crownbetti import (
     multigraded_betti_formula,
     predicted_contribution,
     regularity_formula,
+    shape_betti_formula,
     theta,
     total_betti_closed_form,
     unbalanced_crown,
     xy_variables,
 )
+from crownbetti.graphs import _xy_graph
 
 
 class TestTotalClosedForm:
@@ -50,7 +51,7 @@ class TestEnumerateN:
     def test_cardinality_formula(self):
         n, i, k = 4, 3, 2
         expected = 2 ** (i + 3 - 2 * k) * binomial(n, k) * binomial(n - k, i + 3 - 2 * k)
-        assert len(enumerate_N(n, (1,) * n, i, k)) == expected == 24
+        assert len(enumerate_N(n, n, n, (1,) * n, i, k)) == expected == 24
 
     def test_pairs_only_case(self):
         # (n, i, k) = (3, 1, 2): pure pair selections x_a x_b y_a^wa y_b^wb
@@ -60,16 +61,16 @@ class TestEnumerateN:
             vs.from_dict({f"x{a}": 1, f"x{b}": 1, f"y{a}": w[a - 1], f"y{b}": w[b - 1]})
             for a, b in itertools.combinations((1, 2, 3), 2)
         }
-        assert enumerate_N(3, w, 1, 2) == expected
+        assert enumerate_N(3, 3, 3, w, 1, 2) == expected
 
     def test_empty_when_too_many_pairs(self):
-        assert enumerate_N(4, (1, 1, 1, 1), 0, 2) == frozenset()
+        assert enumerate_N(4, 4, 4, (1, 1, 1, 1), 0, 2) == frozenset()
 
     def test_matches_oracle_support_of_beta1(self):
         w = (2, 1, 3)
         table = multigraded_betti(edge_ideal(crown(3, w)))
-        from_n = enumerate_N(3, w, 1, 2)
-        from_m = enumerate_M(3, w, 1)
+        from_n = enumerate_N(3, 3, 3, w, 1, 2)
+        from_m = enumerate_M(3, 3, 3, w, 1)
         assert {a for (i, a) in table.entries if i == 1} == from_n | from_m
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -79,7 +80,7 @@ class TestEnumerateN:
             for k in range(2, n + 1):
                 j = i + 3 - 2 * k
                 expected = 0 if j < 0 else 2**j * binomial(n, k) * binomial(n - k, j)
-                assert len(enumerate_N(n, w, i, k)) == expected
+                assert len(enumerate_N(n, n, n, w, i, k)) == expected
 
     def test_theta_agrees_with_graph_route(self):
         # direct selection products equal theta of the induced subgraph
@@ -87,7 +88,7 @@ class TestEnumerateN:
         graph = crown(n, w)
         for i in range(0, 2 * n - 2):
             for k in range(2, n + 1):
-                for a in enumerate_N(n, w, i, k):
+                for a in enumerate_N(n, n, n, w, i, k):
                     sub = induced_subgraph(graph, a.support())
                     assert theta(sub) == a
 
@@ -100,40 +101,41 @@ def test_enumerations_match_induced_subgraph_thetas(n):
     thetas = defaultdict(set)
     for size in range(2 * n + 1):
         for subset in itertools.combinations(graph.vertices.names, size):
-            cls = classify_induced(n, subset)
-            if cls.kind in (SubgraphKind.CROWN_LIKE, SubgraphKind.COMPLETE_BIPARTITE):
-                thetas[cls.pairs, size].add(theta(induced_subgraph(graph, subset)))
+            sub = induced_subgraph(graph, subset)
+            pairs = sum(f"y{v[1:]}" in subset for v in subset if v[0] == "x")
+            if sub.edges and pairs != 1:
+                thetas[pairs, size].add(theta(sub))
     for i in range(-1, 2 * n):
-        assert enumerate_M(n, w, i) == thetas[0, i + 2]
+        assert enumerate_M(n, n, n, w, i) == thetas[0, i + 2]
         for k in range(2, n + 1):
-            assert enumerate_N(n, w, i, k) == thetas[k, i + 3]
+            assert enumerate_N(n, n, n, w, i, k) == thetas[k, i + 3]
 
 
 class TestEnumerateM:
     def test_index_zero_gives_generators(self):
         w = (2, 1, 3)
-        assert enumerate_M(3, w, 0) == frozenset(edge_ideal(crown(3, w)).generators)
+        assert enumerate_M(3, 3, 3, w, 0) == frozenset(edge_ideal(crown(3, w)).generators)
 
     def test_one_sided_selections_excluded(self):
-        for a in enumerate_M(3, (1, 1, 1), 1):
+        for a in enumerate_M(3, 3, 3, (1, 1, 1), 1):
             labels = {v[0] for v in a.support()}
             assert labels == {"x", "y"}
 
     def test_crown2_base(self):
         w = (3, 4)
-        assert len(enumerate_M(2, w, 0)) == 2
+        assert len(enumerate_M(2, 2, 2, w, 0)) == 2
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_cardinality_formula(self, n):
         w = (1,) * n
         for i in range(0, 2 * n - 2):
-            assert len(enumerate_M(n, w, i)) == (2 ** (i + 2) - 2) * binomial(n, i + 2)
+            assert len(enumerate_M(n, n, n, w, i)) == (2 ** (i + 2) - 2) * binomial(n, i + 2)
 
     def test_theta_agrees_with_graph_route(self):
         n, w = 4, (2, 1, 1, 3)
         graph = crown(n, w)
         for i in range(0, 2 * n - 2):
-            for a in enumerate_M(n, w, i):
+            for a in enumerate_M(n, n, n, w, i):
                 assert theta(induced_subgraph(graph, a.support())) == a
 
 
@@ -143,17 +145,17 @@ class TestPartitionConsistency:
         w = tuple(range(1, n + 1))
         for i in range(0, 2 * n - 2):
             total = sum(
-                (k - 1) * len(enumerate_N(n, w, i, k)) for k in range(2, n + 1)
+                (k - 1) * len(enumerate_N(n, n, n, w, i, k)) for k in range(2, n + 1)
             )
-            total += len(enumerate_M(n, w, i))
+            total += len(enumerate_M(n, n, n, w, i))
             assert total == total_betti_closed_form(n, i)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_selection_families_are_disjoint(self, n):
         w = (2,) + (1,) * (n - 1)
         for i in range(0, 2 * n - 2):
-            sets = [enumerate_N(n, w, i, k) for k in range(2, n + 1)]
-            sets.append(enumerate_M(n, w, i))
+            sets = [enumerate_N(n, n, n, w, i, k) for k in range(2, n + 1)]
+            sets.append(enumerate_M(n, n, n, w, i))
             for a, b in itertools.combinations(sets, 2):
                 assert not (a & b)
 
@@ -161,7 +163,7 @@ class TestPartitionConsistency:
         n, w = 4, (1, 2, 3, 4)
         for i in range(0, 2 * n - 2):
             for k in range(2, n + 1):
-                for a in enumerate_N(n, w, i, k):
+                for a in enumerate_N(n, n, n, w, i, k):
                     n_x = sum(1 for v in a.support() if v.startswith("x"))
                     n_y = sum(1 for v in a.support() if v.startswith("y"))
                     y_weight = sum(
@@ -170,7 +172,7 @@ class TestPartitionConsistency:
                     assert n_x + n_y == i + 3
                     assert min(n_x, n_y) >= k
                     assert a.degree() == n_x + y_weight
-            for a in enumerate_M(n, w, i):
+            for a in enumerate_M(n, n, n, w, i):
                 assert len(a.support()) == i + 2
 
     def test_weight_one_degrees(self):
@@ -178,8 +180,8 @@ class TestPartitionConsistency:
         w = (1,) * n
         for i in range(0, 2 * n - 2):
             for k in range(2, n + 1):
-                assert all(a.degree() == i + 3 for a in enumerate_N(n, w, i, k))
-            assert all(a.degree() == i + 2 for a in enumerate_M(n, w, i))
+                assert all(a.degree() == i + 3 for a in enumerate_N(n, n, n, w, i, k))
+            assert all(a.degree() == i + 2 for a in enumerate_M(n, n, n, w, i))
 
 
 class TestMultigradedFormula:
@@ -243,6 +245,19 @@ class TestCrownArguments:
             lambda: regularity_formula(3, (0, 1, 1)),
             lambda: graded_betti_formula(3, (1, 2), 1, 3),
             lambda: graded_betti_formula(1, (1,), 0, 2),
+            lambda: enumerate_N(3, 3, 3, (1,), 1, 2),
+            lambda: enumerate_N(4, 4, 4, (1,), 0, 2),  # no selection, still checked
+            lambda: enumerate_M(2, 2, 2, (1, 1, 5), 0),
+            lambda: enumerate_M(3, 3, 3, (1, True, 1), 0),
+            lambda: enumerate_M(2, 2, 2, (1, 0), 0),
+            lambda: enumerate_M(0, 0, 2, (1, 1), 0),
+            lambda: enumerate_M(0, 2, 0, (), 0),
+            lambda: enumerate_M(3, 2, 3, (1, 1, 1), 0),
+            lambda: enumerate_M(-1, 2, 2, (1, 1), 0),
+            lambda: enumerate_M(1, 1, 1, (1,), 0),
+            lambda: shape_betti_formula(1, 1, 1, (1,)),
+            lambda: shape_betti_formula(0, 1, 0, ()),
+            lambda: shape_betti_formula(0, 2, 3, (1, 2.0, 1)),
         ],
     )
     def test_invalid_arguments_rejected(self, call):
@@ -296,6 +311,13 @@ class TestFamilyTopBetti:
         with pytest.raises(ValueError):
             family_top_betti("unbalanced", (3,), (1, 1, 1))
 
+    def test_large_family_read_off_the_shape(self):
+        start = time.perf_counter()
+        top = family_top_betti("complete_bipartite", (300, 300), (1,) * 300)
+        assert time.perf_counter() - start < 5
+        assert (top.pdim, top.top_value) == (598, 1)
+        assert top.top_multidegree == xy_variables(300).monomial((1,) * 600)
+
 
 class TestPredictedContribution:
     def test_full_vertex_set(self):
@@ -311,6 +333,14 @@ class TestPredictedContribution:
     def test_one_pair_contributes_nothing(self):
         assert predicted_contribution(3, (1, 1, 1), {"x1", "y1", "x2"}) is None
 
+    def test_edgeless_subsets_contribute_nothing(self):
+        for subset in ({"x1", "x2", "x3"}, {"x1", "y1"}, set()):
+            assert predicted_contribution(3, (1, 1, 1), subset) is None
+
+    def test_unknown_vertex_rejected(self):
+        with pytest.raises(ValueError, match="not in the graph"):
+            predicted_contribution(3, (1, 1, 1), {"x1", "y4"})
+
     @pytest.mark.parametrize("n,w", [(3, (1, 2, 1)), (4, (1, 1, 1, 1))])
     def test_reassembles_full_table(self, n, w):
         entries = {}
@@ -322,3 +352,26 @@ class TestPredictedContribution:
                     assert (i, a) not in entries
                     entries[(i, a)] = value
         assert entries == multigraded_betti_formula(n, w).entries
+
+
+SHAPES = [
+    (m, s, t)
+    for s in range(1, 8)
+    for t in range(1, 9 - s)
+    for m in range(min(s, t) + 1)
+    if (m, s, t) != (1, 1, 1)
+]
+
+
+@pytest.mark.parametrize("m,s,t", SHAPES)
+def test_shape_formula_matches_oracle(m, s, t):
+    # the induced-subgraph rule on every shape with s + t <= 8
+    totals = set()
+    for w in [(1,) * t, tuple(range(1, t + 1)), tuple(range(t, 0, -1))]:
+        graph = _xy_graph(m, s, t, w)
+        table = shape_betti_formula(m, s, t, w)
+        assert table == multigraded_betti(edge_ideal(graph))
+        for _, a in table.entries:
+            assert induced_subgraph(graph, a.support()).non_isolated() == a.support()
+        totals.add(tuple(table.total_sequence()))
+    assert len(totals) == 1  # weight independence

@@ -3,10 +3,8 @@ import itertools
 import pytest
 
 from crownbetti import (
-    SubgraphKind,
     WeightedOrientedGraph,
     VariableSet,
-    classify_induced,
     complete_bipartite,
     crown,
     edge_ideal,
@@ -215,30 +213,46 @@ class TestInducedSubgraph:
         assert {relabel(g) for g in base.generators} == set(permuted.generators)
 
 
+def _renamed_shape(n, weights, subset):
+    """(m, s, t, edges, y weights) of the induced subgraph of the crown on
+    `subset`, its x and y vertices renamed x1..xs, y1..yt with the m held
+    pairs {xr, yr} first."""
+    chosen = set(subset)
+    sub = induced_subgraph(crown(n, weights), chosen)
+    x_idx = sorted(int(v[1:]) for v in chosen if v[0] == "x")
+    y_idx = sorted(int(v[1:]) for v in chosen if v[0] == "y")
+    pairs = [i for i in x_idx if i in y_idx]
+    x_order = pairs + [i for i in x_idx if i not in pairs]
+    y_order = pairs + [j for j in y_idx if j not in pairs]
+    rename = {f"x{i}": f"x{k}" for k, i in enumerate(x_order, 1)}
+    rename |= {f"y{j}": f"y{k}" for k, j in enumerate(y_order, 1)}
+    edges = {(rename[a], rename[b]) for a, b in sub.edges}
+    return len(pairs), len(x_order), len(y_order), edges, tuple(weights[j - 1] for j in y_order)
+
+
 class TestClassify:
+    """An induced subgraph of the crown is the shape (held pairs, x count,
+    y count) once renamed; the classification is read off that shape."""
+
     def test_full_vertex_set(self):
-        cls = classify_induced(3, xy_variables(3).names)
-        assert cls.kind is SubgraphKind.CROWN_LIKE and cls.pairs == 3
+        w = (1, 2, 1)
+        m, s, t, edges, ws = _renamed_shape(3, w, xy_variables(3).names)
+        assert (m, s, t) == (3, 3, 3)
+        assert edges == set(crown(3, w).edges) and ws == w
 
     def test_cross_pair_is_complete_bipartite(self):
-        assert classify_induced(3, {"x1", "y2"}).kind is SubgraphKind.COMPLETE_BIPARTITE
+        w = (1, 2, 1)
+        m, s, t, edges, ws = _renamed_shape(3, w, {"x1", "y2"})
+        assert (m, s, t) == (0, 1, 1)
+        assert edges == set(complete_bipartite(1, 1, (w[1],)).edges) and ws == (w[1],)
 
     def test_one_pair(self):
-        assert classify_induced(3, {"x1", "y1", "x2"}).kind is SubgraphKind.ONE_PAIR
-
-    def test_degenerate_cases(self):
-        assert classify_induced(3, {"x1", "x2", "x3"}).kind is SubgraphKind.DEGENERATE
-        assert classify_induced(3, {"x1", "y1"}).kind is SubgraphKind.DEGENERATE
-        assert classify_induced(3, set()).kind is SubgraphKind.DEGENERATE
-
-    def test_crown_like_has_no_isolated_vertices(self):
-        graph = crown(4, (1, 1, 1, 1))
-        for size in range(9):
-            for subset in itertools.combinations(graph.vertices.names, size):
-                cls = classify_induced(4, subset)
-                if cls.kind is SubgraphKind.CROWN_LIKE:
-                    sub = induced_subgraph(graph, subset)
-                    assert sub.non_isolated() == frozenset(subset)
+        chosen = {"x1", "y1", "x2"}
+        m, s, t, edges, _ = _renamed_shape(3, (1, 1, 1), chosen)
+        assert (m, s, t) == (1, 2, 1) and edges == {("x2", "y1")}
+        # the held pair's x end has no y left to reach, so it is isolated
+        sub = induced_subgraph(crown(3, (1, 1, 1)), chosen)
+        assert sub.non_isolated() == {"x2", "y1"}
 
 
 class TestTheta:
