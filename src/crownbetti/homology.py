@@ -8,14 +8,21 @@ the lcm lattice of I can carry a nonzero Betti number, so the oracle
 evaluates exactly those (an audit mode sweeps the whole box below the lcm
 of all generators instead).
 
-Faces are bitmasks over a ground tuple of labels (supp(a) here), and the
-oracle runs the public upper_koszul_complex and reduced_homology_ranks.
+Faces are bitmasks over a ground tuple of labels (supp(a) here).
 Facet lemma: g divides x^(a-b) exactly when g divides x^a and b avoids
 every k with g_k = a_k, so the faces at a are the submasks of the facets
 F_g = {k in supp(a) : g_k < a_k} over the generators g dividing x^a.
+The complex at a is therefore fixed by its key (|supp(a)|, sorted maximal
+facets), and many lattice points share one.  multigraded_betti keeps a
+memo from key to ranks for the length of one call, so each distinct
+complex has its faces enumerated and its homology computed once.
 
-Boundary ranks are exact in every characteristic below 2^64: one sparse
-column reduction on Python integers serves F_p and, over Fractions, Q.
+Homology comes from sparse boundary columns built straight from the face
+masks, reduced from the top dimension down with clearing (Chen-Kerber's
+twist): a face that is a pivot row of the boundary one dimension up is a
+cycle modulo earlier columns, so its own column is skipped.  Ranks are
+exact in every characteristic below 2^64: one column reduction on Python
+integers serves F_p and, over Fractions, Q.
 """
 
 from __future__ import annotations
@@ -23,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from operator import le
+from operator import index
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .ideals import MonomialIdeal, lcm_lattice
 from .multidegree import Multidegree, VariableSet, lcm_of
@@ -73,44 +78,57 @@ class FieldSpec:
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
-    def rank(self, matrix: np.ndarray) -> int:
-        """Exact rank by sparse column reduction on Python integers
-        (Fractions in characteristic 0).
+    def rank(self, matrix: Sequence[Sequence[int]]) -> int:
+        """Exact rank of an integer matrix given as a sequence of rows.
 
-        Each column, held as {row: coeff}, is cleared on its lowest nonzero
-        row against the stored pivot column for that row (normalised to a
-        leading 1) until it vanishes or leads on a new row.  Only reducing
-        coefficients mod p and inverting a pivot depend on the field.
+        A thin adapter: the rows become sparse columns of the entries that
+        are nonzero in the field, and the rank is the number of pivots the
+        column reduction behind reduced_homology_ranks finds.  Entries are
+        taken as Python integers (operator.index), so fixed-width integer
+        types cannot overflow and non-integers are refused.
+        """
+        p = self.characteristic
+        columns: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(matrix):
+            for j, v in enumerate(row):
+                v = index(v) % p if p else index(v)
+                if v:
+                    columns.setdefault(j, {})[i] = v
+        return len(self._pivots(columns.values()))
+
+    def _pivots(self, columns: Iterable[dict[int, int]]) -> dict[int, tuple]:
+        """Sparse column reduction on Python integers; returns, by pivot
+        row, the inverse of the pivot entry and the reduced column.
+
+        Each column, held as {row: coeff} with coefficients nonzero in the
+        field, is cleared on its lowest (largest) row against the stored
+        column for that row until it vanishes or leads on a new row.  Only
+        reducing coefficients mod p and inverting a pivot entry depend on
+        the field; over Q a pivot entry of +-1 is its own inverse, so
+        Fractions appear only after some other pivot entry does.
         """
         p = self.characteristic
         if p:
             reduce, invert = (lambda c: c % p), (lambda c: pow(c, -1, p))
         else:
-            reduce, invert = (lambda c: c), (lambda c: Fraction(1, c))
-        a = np.asarray(matrix)
-        cols, rows = np.nonzero(a.T)
-        columns: dict[int, dict[int, int]] = {}
-        for j, i, v in zip(cols.tolist(), rows.tolist(), a[rows, cols].tolist()):
-            v = reduce(v)
-            if v:
-                columns.setdefault(j, {})[i] = v
-        pivots: dict[int, dict[int, int]] = {}
-        for col in columns.values():
+            reduce, invert = (lambda c: c), (lambda c: c if c in (1, -1) else Fraction(1, c))
+        pivots: dict[int, tuple] = {}
+        for col in columns:
             while col:
                 low = max(col)
-                pivot = pivots.get(low)
-                if pivot is None:
-                    inv = invert(col[low])
-                    pivots[low] = {i: reduce(v * inv) for i, v in col.items()}
+                found = pivots.get(low)
+                if found is None:
+                    pivots[low] = (invert(col[low]), col)
                     break
-                factor = col[low]
+                inv, pivot = found
+                factor = reduce(col[low] * inv)
                 for i, v in pivot.items():
                     c = reduce(col.get(i, 0) - factor * v)
                     if c:
                         col[i] = c
                     else:
                         del col[i]
-        return len(pivots)
+        return pivots
 
 
 @dataclass(frozen=True)
@@ -151,6 +169,58 @@ class SimplicialComplexOnVars:
         return not self.masks
 
 
+def _sparse_generators(ideal: MonomialIdeal) -> list[tuple[tuple[int, int], ...]]:
+    """Each generator as its (variable index, exponent) pairs with exponent > 0."""
+    return [
+        tuple((k, e) for k, e in enumerate(g.exponents) if e) for g in ideal.generators
+    ]
+
+
+def _facet_key(
+    generators: Sequence[tuple[tuple[int, int], ...]], exps: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """(|supp(a)|, sorted maximal facets F_g as bitmasks over supp(a)) for
+    the point a with exponents ``exps``; no facets means the void complex.
+
+    F_g is supp(a) minus the k with g_k = a_k, which lie in supp(g)."""
+    pos: dict[int, int] = {}
+    for k, e in enumerate(exps):
+        if e:
+            pos[k] = len(pos)
+    full = (1 << len(pos)) - 1
+    facets = set()
+    for g in generators:
+        facet = full
+        for k, e in g:
+            if exps[k] < e:
+                break
+            if exps[k] == e:
+                facet ^= 1 << pos[k]
+        else:
+            facets.add(facet)
+    maximal: list[int] = []
+    for facet in sorted(facets, key=int.bit_count, reverse=True):
+        if all(facet | other != other for other in maximal):
+            maximal.append(facet)
+    return len(pos), tuple(sorted(maximal))
+
+
+def _koszul_complex(
+    names: Sequence[str], exps: tuple[int, ...], facets: tuple[int, ...]
+) -> SimplicialComplexOnVars:
+    """The complex on supp(a) whose faces are the submasks of ``facets``."""
+    masks = set()
+    for facet in facets:
+        face = facet
+        while face:
+            masks.add(face)
+            face = (face - 1) & facet
+    if facets:
+        masks.add(0)
+    ground = tuple(v for v, e in zip(names, exps) if e)
+    return SimplicialComplexOnVars(ground, tuple(sorted(masks)))
+
+
 def upper_koszul_complex(
     ideal: MonomialIdeal, a: Multidegree
 ) -> SimplicialComplexOnVars:
@@ -161,21 +231,8 @@ def upper_koszul_complex(
         raise ValueError("upper Koszul complex requires a nonzero, non-unit ideal")
     if a.variables != ideal.variables:
         raise ValueError("multidegree over a different variable set")
-    exps = a.exponents
-    support = [k for k, e in enumerate(exps) if e > 0]
-    facets = {
-        sum(1 << j for j, k in enumerate(support) if g.exponents[k] < exps[k])
-        for g in ideal.generators
-        if all(map(le, g.exponents, exps))
-    }
-    masks = {0} if facets else set()
-    for facet in facets:
-        face = facet
-        while face:
-            masks.add(face)
-            face = (face - 1) & facet
-    ground = tuple(a.variables.names[k] for k in support)
-    return SimplicialComplexOnVars(ground, tuple(sorted(masks)))
+    _, facets = _facet_key(_sparse_generators(ideal), a.exponents)
+    return _koszul_complex(a.variables.names, a.exponents, facets)
 
 
 def reduced_homology_ranks(
@@ -190,27 +247,30 @@ def reduced_homology_ranks(
         return {}
     by_dim: dict[int, list[int]] = {}
     for mask in complex_.masks:
-        by_dim.setdefault(bin(mask).count("1") - 1, []).append(mask)
+        by_dim.setdefault(mask.bit_count() - 1, []).append(mask)
     if -1 not in by_dim:
         raise ValueError("nonvoid complex must contain the empty face")
-    ground_size = len(complex_.ground)
     top = max(by_dim)
     # rank of the boundary map from dimension d to d-1, for d = 0 .. top+1
-    boundary_rank = {0: 1 if 0 in by_dim else 0, top + 1: 0}
-    for d in range(1, top + 1):
-        rows = {m: i for i, m in enumerate(by_dim[d - 1])}
-        cols = by_dim[d]
-        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for j, mask in enumerate(cols):
-            sign = 1
-            for k in range(ground_size):
-                if mask >> k & 1:
-                    mat[rows[mask ^ (1 << k)], j] = sign
-                    sign = -sign
-        boundary_rank[d] = field.rank(mat)
+    boundary_rank = {top + 1: 0}
+    # clearing: the pivot rows of the boundary one dimension up, by face
+    cleared: dict[int, tuple] = {}
+    for d in range(top, -1, -1):
+        columns = []
+        for mask in by_dim.get(d, ()):
+            if mask in cleared:
+                continue
+            col, sign, rest = {}, 1, mask
+            while rest:
+                bit = rest & -rest
+                col[mask ^ bit] = sign
+                sign, rest = -sign, rest ^ bit
+            columns.append(col)
+        cleared = field._pivots(columns)
+        boundary_rank[d] = len(cleared)
     ranks: dict[int, int] = {}
     for d in range(-1, top + 1):
-        r = len(by_dim.get(d, ())) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+        r = len(by_dim.get(d, ())) - boundary_rank.get(d, 0) - boundary_rank[d + 1]
         if r:
             ranks[d] = r
     return ranks
@@ -315,9 +375,16 @@ def multigraded_betti(
         ]
     else:
         points = sorted(lcm_lattice(ideal))
+    generators = _sparse_generators(ideal)
+    names = ideal.variables.names
+    memo: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
     entries: dict[tuple[int, Multidegree], int] = {}
     for a in points:
-        ranks = reduced_homology_ranks(upper_koszul_complex(ideal, a), field)
+        key = _facet_key(generators, a.exponents)
+        ranks = memo.get(key)
+        if ranks is None:
+            complex_ = _koszul_complex(names, a.exponents, key[1])
+            ranks = memo[key] = reduced_homology_ranks(complex_, field)
         for d, r in ranks.items():
             entries[(d + 1, a)] = r
     return BettiTable(ideal.variables, entries)

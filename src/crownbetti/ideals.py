@@ -55,12 +55,30 @@ class MonomialIdeal:
 
 
 def _antichain(monomials: Iterable[Multidegree]) -> list[Multidegree]:
-    ms = set(monomials)
-    return [
-        m
-        for m in ms
-        if not any(other != m and divides(other, m) for other in ms)
-    ]
+    """The monomials that no other one divides.
+
+    1 divides every monomial.  Any other divisor d of m has a variable of
+    supp(m) in its support, so m is tested only against the monomials that
+    share a support variable with it, on the exponents of d's support.
+    """
+    ms = list(set(monomials))
+    if any(m.is_one() for m in ms):
+        return [m for m in ms if m.is_one()]
+    supports = [[(k, e) for k, e in enumerate(m.exponents) if e] for m in ms]
+    sharing: dict[int, list[int]] = {}
+    for i, pairs in enumerate(supports):
+        for k, _ in pairs:
+            sharing.setdefault(k, []).append(i)
+
+    def has_divisor(i: int) -> bool:
+        exps = ms[i].exponents
+        return any(
+            j != i and all(exps[k] >= e for k, e in supports[j])
+            for k, _ in supports[i]
+            for j in sharing[k]
+        )
+
+    return [m for i, m in enumerate(ms) if not has_divisor(i)]
 
 
 def minimalize(

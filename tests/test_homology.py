@@ -1,7 +1,6 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +13,7 @@ from crownbetti import (
     crown,
     edge_ideal,
     lcm_lattice,
+    lcm_of,
     minimalize,
     multigraded_betti,
     reduced_homology_ranks,
@@ -97,6 +97,13 @@ def simplex_closure(facets):
     return frozenset(faces)
 
 
+# minimal 6-vertex triangulation of the real projective plane
+RP2_FACETS = [
+    (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+    (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
+]
+
+
 class TestReducedHomology:
     @pytest.mark.parametrize("char", [0, 2, 32003, 4294967311])
     def test_hollow_triangle_has_h1(self, char):
@@ -137,12 +144,8 @@ class TestReducedHomology:
         assert complex_.faces == frozenset({frozenset(), frozenset({"b"})})
 
     def test_projective_plane_distinguishes_characteristic(self):
-        # minimal 6-vertex triangulation: homology differs over F_2 vs F_32003
-        facets = [
-            (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
-            (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
-        ]
-        relabeled = [tuple(f"v{i}" for i in f) for f in facets]
+        # homology differs over F_2 vs F_32003
+        relabeled = [tuple(f"v{i}" for i in f) for f in RP2_FACETS]
         ground = tuple(f"v{i}" for i in range(1, 7))
         complex_ = SimplicialComplexOnVars.from_faces(ground, simplex_closure(relabeled))
         assert reduced_homology_ranks(complex_, FieldSpec(2)) == {1: 1, 2: 1}
@@ -202,6 +205,23 @@ class TestMultigradedBetti:
         assert scaled.total() == table.total()
         assert scaled.entries == {(i, u * a): c for (i, a), c in table.entries.items()}
 
+    @settings(max_examples=100)
+    @given(ideals4, st.sampled_from([0, 2, 32003]))
+    def test_memoised_table_matches_point_by_point(self, ideal, char):
+        # every point of the box below the lcm, each complex computed afresh
+        field = FieldSpec(char)
+        top = lcm_of(ideal.generators).exponents
+        entries = {}
+        for exps in itertools.product(*(range(e + 1) for e in top)):
+            if not any(exps):
+                continue
+            a = V4.monomial(exps)
+            for d, r in reduced_homology_ranks(upper_koszul_complex(ideal, a), field).items():
+                entries[(d + 1, a)] = r
+        expected = BettiTable(V4, entries)
+        assert multigraded_betti(ideal, field) == expected
+        assert multigraded_betti(ideal, field, audit_full_box=True) == expected
+
     def test_alternating_sum_vanishes(self):
         for w in [(1, 1, 1), (2, 1, 3)]:
             totals = multigraded_betti(edge_ideal(crown(3, w))).total_sequence()
@@ -236,10 +256,11 @@ class TestAggregation:
 
 
 def dense_rank(matrix, char):
-    """Reference rank: row reduction over Fractions (char 0) or ints mod p."""
-    rows = [[x % char if char else Fraction(x) for x in row] for row in matrix.tolist()]
+    """Reference rank of a list of rows: row reduction over Fractions
+    (char 0) or ints mod p."""
+    rows = [[x % char if char else Fraction(x) for x in row] for row in matrix]
     rank = 0
-    for col in range(matrix.shape[1]):
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -257,8 +278,54 @@ def dense_rank(matrix, char):
 @st.composite
 def small_matrices(draw):
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    entries = draw(st.lists(st.integers(-3, 3), min_size=nrows * ncols, max_size=nrows * ncols))
-    return np.array(entries, dtype=np.int64).reshape(nrows, ncols)
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    return [draw(row) for _ in range(nrows)]
+
+
+CHARACTERISTICS = st.sampled_from([0, 2, 3, 32003, 4294967311])
+
+
+def dense_homology_ranks(complex_, char):
+    """Reference reduced homology: every boundary map as a dense matrix of
+    rows, ranked by dense_rank, with no clearing."""
+    by_dim = {}
+    for mask in complex_.masks:
+        by_dim.setdefault(bin(mask).count("1") - 1, []).append(mask)
+    boundary_rank = {}
+    for d, cols in by_dim.items():
+        rows = by_dim.get(d - 1, [])
+        matrix = [[0] * len(cols) for _ in rows]
+        for j, mask in enumerate(cols):
+            sign = 1
+            for k in range(len(complex_.ground)):
+                if mask >> k & 1:
+                    matrix[rows.index(mask ^ (1 << k))][j] = sign
+                    sign = -sign
+        boundary_rank[d] = dense_rank(matrix, char)
+    ranks = {}
+    for d, faces in by_dim.items():
+        r = len(faces) - boundary_rank[d] - boundary_rank.get(d + 1, 0)
+        if r:
+            ranks[d] = r
+    return ranks
+
+
+class TestClearing:
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.sets(st.integers(1, 6), max_size=6), min_size=1, max_size=4),
+        CHARACTERISTICS,
+    )
+    @example(RP2_FACETS, 2)
+    @example(RP2_FACETS, 0)
+    def test_ranks_match_dense_boundary_reference(self, facets, char):
+        # the downward closure of random facets over at most six vertices
+        ground = tuple(f"v{i}" for i in range(1, 7))
+        complex_ = SimplicialComplexOnVars.from_faces(
+            ground, simplex_closure([tuple(f"v{i}" for i in facet) for facet in facets])
+        )
+        field = FieldSpec(char)
+        assert reduced_homology_ranks(complex_, field) == dense_homology_ranks(complex_, char)
 
 
 class TestFieldSpec:
@@ -277,12 +344,17 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(char)
 
-    @given(small_matrices(), st.sampled_from([0, 2, 3, 32003, 4294967311]))
-    @example(np.zeros((0, 4), dtype=np.int64), 0)
-    @example(np.zeros((4, 0), dtype=np.int64), 2)
-    @example(np.array([[2, 4], [1, 2]], dtype=np.int64), 2)
+    @given(small_matrices(), CHARACTERISTICS)
+    @example([], 0)
+    @example([[], [], [], []], 2)
+    @example([[2, 4], [1, 2]], 2)
     def test_rank_matches_dense_reference(self, matrix, char):
         assert FieldSpec(char).rank(matrix) == dense_rank(matrix, char)
+
+    def test_rank_refuses_non_integer_entries(self):
+        # a float entry would make the reduction inexact
+        with pytest.raises(TypeError):
+            FieldSpec(0).rank([[1, 0.5]])
 
     def test_field_robustness_crown3(self):
         ideal = edge_ideal(crown(3, (1, 2, 3)))

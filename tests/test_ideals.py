@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -7,8 +8,10 @@ from crownbetti import (
     MonomialIdeal,
     VariableSet,
     colon_by_monomial,
+    complete_bipartite,
     contains,
     crown,
+    divides,
     edge_ideal,
     ideal_intersect,
     ideal_product,
@@ -56,6 +59,21 @@ class TestMinimalize:
         ideal = minimalize(V, ms)
         for a in ms:
             assert contains(ideal, a)
+
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * 4), max_size=8))
+    def test_matches_naive_antichain(self, exps):
+        # the unit ideal included: 1 divides every monomial
+        v4 = VariableSet(("a", "b", "c", "d"))
+        ms = {v4.monomial(e) for e in exps}
+        naive = {a for a in ms if not any(b != a and divides(b, a) for b in ms)}
+        assert set(minimalize(v4, ms).generators) == naive
+
+    def test_complete_bipartite_40_is_fast(self):
+        # every edge generator is minimal; comparing all pairs took seconds
+        start = time.perf_counter()
+        ideal = edge_ideal(complete_bipartite(40, 40, (1,) * 40))
+        assert time.perf_counter() - start < 2
+        assert len(ideal.generators) == 1600
 
 
 class TestContains:
