@@ -60,6 +60,7 @@ from .splitting import (
 )
 from .render import (
     betti_diagram,
+    graded_report,
     multigraded_lines,
     raw_graded_lines,
     report_text,
@@ -77,6 +78,7 @@ from .formulas import (
     predicted_contribution,
     regularity_formula,
     shape_betti_formula,
+    shape_graded_formula,
     total_betti_closed_form,
 )
 

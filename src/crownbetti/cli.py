@@ -17,11 +17,17 @@ import sys
 from typing import Optional, Sequence
 
 from . import checks
-from .formulas import FAMILIES, family_top_betti, multigraded_betti_formula, shape_betti_formula
+from .formulas import (
+    FAMILIES,
+    family_top_betti,
+    multigraded_betti_formula,
+    shape_betti_formula,
+    shape_graded_formula,
+)
 from .graphs import WeightedOrientedGraph, crown, edge_ideal
 from .homology import BettiTable, FieldSpec, multigraded_betti
 from .multidegree import VariableSet
-from .render import report_text, table_to_json_dict
+from .render import graded_report, report_text, table_to_json_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,6 +71,13 @@ def cmd_crown(args) -> int:
         raise UsageError(f"crown graph needs n >= 2, got {args.n}")
     weights = _parse_weights(args.weights, args.n)
     field = _parse_field(args.field)
+    if args.mode == "formula" and args.audit_full_lattice:
+        raise UsageError("--audit-full-lattice applies to the oracle, not to --mode formula")
+    if args.mode == "formula" and args.output == "text" and not args.multigraded:
+        # the report shows graded numbers only: count them, list no entry
+        graded = shape_graded_formula(args.n, args.n, args.n, weights)
+        print(graded_report(graded, raw=args.raw), end="")
+        return EXIT_OK
     oracle = formula = None
     if args.mode in ("oracle", "both"):
         oracle = multigraded_betti(

@@ -139,6 +139,45 @@ def shape_betti_formula(m: int, s: int, t: int, weights: Sequence[int]) -> Betti
     return BettiTable(_xy_variables(s, t), entries)
 
 
+def shape_graded_formula(
+    m: int, s: int, t: int, weights: Sequence[int]
+) -> dict[tuple[int, int], int]:
+    """Predicted graded Betti numbers beta_{i,j} of the shape (m, s, t),
+    counted without listing the vertex selections.
+
+    A selection's entry depends only on its number of missing pairs, its
+    size, the degree of theta(G[W]) and which sides it uses, so a DP over
+    the indices r counts the selections per such state.  At each r the
+    selection takes nothing, xr (degree 1, if r <= s), yr (degree w_r, if
+    r <= t) or both, which is one more missing pair when r <= m.
+    """
+    _check_shape(m, s, t, weights)
+    # (pairs, size, degree, sides) -> number of selections; sides has bit 1
+    # for an x and bit 2 for a y
+    states = {(0, 0, 0, 0): 1}
+    for r in range(max(s, t)):
+        steps = [(0, 0, 0, 0)]
+        if r < s:
+            steps.append((0, 1, 1, 1))
+        if r < t:
+            steps.append((0, 1, weights[r], 2))
+        if r < s and r < t:
+            steps.append((int(r < m), 2, 1 + weights[r], 3))
+        grown: dict[tuple[int, int, int, int], int] = {}
+        for (pairs, size, degree, sides), count in states.items():
+            for d_pairs, d_size, d_degree, d_sides in steps:
+                key = (pairs + d_pairs, size + d_size, degree + d_degree, sides | d_sides)
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    graded: dict[tuple[int, int], int] = {}
+    for (pairs, size, degree, sides), count in states.items():
+        if pairs == 1 or sides != 3:  # one pair, or an edgeless selection
+            continue
+        i, value = _top_entry(pairs, size)
+        graded[i, degree] = graded.get((i, degree), 0) + count * value
+    return graded
+
+
 def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:
     """Predicted multigraded Betti table of the crown edge ideal."""
     return shape_betti_formula(n, n, n, weights)
@@ -146,7 +185,7 @@ def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:
 
 def graded_betti_formula(n: int, weights: Sequence[int], i: int, j: int) -> int:
     """Predicted graded Betti number beta_{i,j} of the crown edge ideal."""
-    return sum(value for a, value in _index_entries(n, n, n, weights, i) if a.degree() == j)
+    return shape_graded_formula(n, n, n, weights).get((i, j), 0)
 
 
 def regularity_formula(n: int, weights: Sequence[int]) -> int:

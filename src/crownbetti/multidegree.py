@@ -86,7 +86,7 @@ class Multidegree:
             raise ValueError(
                 f"expected {len(self.variables)} exponents, got {len(self.exponents)}"
             )
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents, default=0) < 0:
             raise ValueError(f"negative exponent in {self.exponents}")
 
     def degree(self) -> int:

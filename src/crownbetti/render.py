@@ -1,4 +1,5 @@
-"""Deterministic text and JSON rendering of Betti tables.
+"""Deterministic text and JSON rendering of Betti tables and graded Betti
+numbers.
 
 The Betti diagram follows the Macaulay2 convention: column i is the
 homological index, row r collects the graded entries with j - i = r.
@@ -12,18 +13,29 @@ from .homology import BettiTable
 from .multidegree import Multidegree
 
 
-def betti_diagram(table: BettiTable) -> str:
-    graded = table.graded()
-    p = table.pdim()
+def _graded_summary(graded: dict[tuple[int, int], int]) -> tuple[int, int, list[int]]:
+    """pdim, regularity and the total Betti numbers b_0..b_pdim, read off
+    the graded Betti numbers."""
+    if not graded:
+        raise ValueError("no graded Betti numbers")
+    pdim = max(i for i, _ in graded)
+    totals = [0] * (pdim + 1)
+    for (i, _), c in graded.items():
+        totals[i] += c
+    return pdim, max(j - i for i, j in graded), totals
+
+
+def betti_diagram(graded: dict[tuple[int, int], int]) -> str:
+    """The Betti diagram of graded Betti numbers {(i, j): beta_{i,j}}."""
+    p, _, totals = _graded_summary(graded)
     rows = sorted({j - i for i, j in graded})
     cols = list(range(p + 1))
-    totals = table.total()
     grid = [["" for _ in cols] for _ in rows]
     for (i, j), c in graded.items():
         grid[rows.index(j - i)][i] = str(c)
     header = ["j-i"] + [str(i) for i in cols]
     body = [[str(r)] + [cell or "." for cell in grid[k]] for k, r in enumerate(rows)]
-    total_row = ["total"] + [str(totals.get(i, 0)) for i in cols]
+    total_row = ["total"] + [str(totals[i]) for i in cols]
     widths = [
         max(len(line[c]) for line in [header, total_row] + body)
         for c in range(len(header))
@@ -34,9 +46,8 @@ def betti_diagram(table: BettiTable) -> str:
     return "\n".join(lines)
 
 
-def raw_graded_lines(table: BettiTable) -> str:
+def raw_graded_lines(graded: dict[tuple[int, int], int]) -> str:
     """(i, j, count) triples, one per line, sorted."""
-    graded = table.graded()
     return "\n".join(f"{i} {j} {c}" for (i, j), c in sorted(graded.items()))
 
 
@@ -46,25 +57,34 @@ def multigraded_lines(table: BettiTable) -> str:
     return "\n".join(f"{i}  {a}  {c}" for (i, a), c in items)
 
 
-def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False) -> str:
+def graded_report(graded: dict[tuple[int, int], int], raw: bool = False) -> str:
+    """pdim, reg and total lines, then the Betti diagram (or, with `raw`,
+    the (i, j, count) triples) of graded Betti numbers."""
+    pdim, reg, totals = _graded_summary(graded)
     parts = [
-        f"pdim: {table.pdim()}",
-        f"reg: {table.regularity()}",
-        f"total: {' '.join(str(b) for b in table.total_sequence())}",
+        f"pdim: {pdim}",
+        f"reg: {reg}",
+        f"total: {' '.join(str(b) for b in totals)}",
         "",
-        raw_graded_lines(table) if raw else betti_diagram(table),
+        raw_graded_lines(graded) if raw else betti_diagram(graded),
     ]
-    if multigraded:
-        parts += ["", multigraded_lines(table)]
     return "\n".join(parts) + "\n"
+
+
+def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False) -> str:
+    text = graded_report(table.graded(), raw)
+    if multigraded:
+        text += "\n" + multigraded_lines(table) + "\n"
+    return text
 
 
 def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
     graded = table.graded()
+    pdim, reg, totals = _graded_summary(graded)
     return {
-        "pdim": table.pdim(),
-        "reg": table.regularity(),
-        "total": table.total_sequence(),
+        "pdim": pdim,
+        "reg": reg,
+        "total": totals,
         "graded": [[i, j, c] for (i, j), c in sorted(graded.items())],
         # plain rows sort by (i, exponents) in C, far faster than Multidegrees
         "multigraded": sorted(

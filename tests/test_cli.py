@@ -8,12 +8,15 @@ import pytest
 
 from crownbetti import (
     BettiTable,
+    checks,
     crown,
     edge_ideal,
     multigraded_betti,
     multigraded_betti_formula,
+    report_text,
     shape_betti_formula,
     table_from_json_dict,
+    total_betti_closed_form,
     xy_variables,
 )
 from crownbetti.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
@@ -75,6 +78,38 @@ class TestCrownCommand:
         assert "0 2 2" in out
         assert "1 4 1" in out
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_formula_text_matches_table_report(self, capsys, n):
+        for w in checks.default_weight_matrix(n):
+            table = multigraded_betti_formula(n, w)
+            argv = ("crown", "--n", str(n), "--weights", ",".join(map(str, w)), "--mode", "formula")
+            for raw in (False, True):
+                code, out, err = run(capsys, *argv, *(("--raw",) if raw else ()))
+                assert (code, out, err) == (EXIT_OK, report_text(table, raw=raw), "")
+
+    def test_formula_text_lists_no_entry(self, capsys, monkeypatch):
+        import crownbetti.cli as cli_module
+        import crownbetti.formulas as formulas_module
+
+        def refuse(*args):
+            raise AssertionError("the text report should not enumerate selections")
+
+        for module, name in [
+            (formulas_module, "enumerate_N"),
+            (formulas_module, "enumerate_M"),
+            (cli_module, "multigraded_betti_formula"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        for extra in ((), ("--raw",)):
+            code, out, _ = run(capsys, "crown", "--n", "7", "--mode", "formula", *extra)
+            assert code == EXIT_OK and out.startswith("pdim: 11\n")
+
+    def test_formula_text_at_n30(self, capsys):
+        code, out, _ = run(capsys, "crown", "--n", "30", "--mode", "formula")
+        assert code == EXIT_OK
+        total = next(line for line in out.splitlines() if line.startswith("total: "))
+        assert total.split()[1:] == [str(total_betti_closed_form(30, i)) for i in range(58)]
+
     def test_multigraded_listing(self, capsys):
         code, out, _ = run(
             capsys, "crown", "--n", "2", "--mode", "formula", "--multigraded"
@@ -98,6 +133,7 @@ class TestCrownCommand:
             ("crown", "--n", "3", "--weights", "1,0,2"),
             ("crown", "--n", "2", "--field", "4"),
             ("crown", "--n", "2", "--field", "18446744073709551629"),
+            ("crown", "--n", "3", "--mode", "formula", "--audit-full-lattice"),
         ],
     )
     def test_usage_errors(self, capsys, argv):

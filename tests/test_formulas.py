@@ -15,11 +15,13 @@ from crownbetti import (
     generalized_crown,
     graded_betti_formula,
     induced_subgraph,
+    mapping_cone_upper_bound,
     multigraded_betti,
     multigraded_betti_formula,
     predicted_contribution,
     regularity_formula,
     shape_betti_formula,
+    shape_graded_formula,
     theta,
     total_betti_closed_form,
     unbalanced_crown,
@@ -232,6 +234,19 @@ class TestGradedFormula:
         n, w = 3, (2, 1, 1)
         assert sum(graded_betti_formula(n, w, 0, j) for j in range(0, 20)) == 6
 
+    @pytest.mark.parametrize("w", [(1,) * 30, tuple(1 + r % 3 for r in range(30))])
+    def test_counted_at_n30(self, w):
+        # far past enumeration: totals, pdim and reg of the counted numbers
+        n = 30
+        graded = shape_graded_formula(n, n, n, w)
+        totals = defaultdict(int)
+        for (i, _), c in graded.items():
+            totals[i] += c
+        assert sorted(totals) == list(range(2 * n - 2))
+        for i, b in totals.items():
+            assert b == total_betti_closed_form(n, i) <= mapping_cone_upper_bound(n, i)
+        assert max(j - i for i, j in graded) == regularity_formula(n, w)
+
 
 class TestCrownArguments:
     @pytest.mark.parametrize(
@@ -258,6 +273,9 @@ class TestCrownArguments:
             lambda: shape_betti_formula(1, 1, 1, (1,)),
             lambda: shape_betti_formula(0, 1, 0, ()),
             lambda: shape_betti_formula(0, 2, 3, (1, 2.0, 1)),
+            lambda: shape_graded_formula(1, 1, 1, (1,)),
+            lambda: shape_graded_formula(3, 2, 3, (1, 1, 1)),
+            lambda: shape_graded_formula(0, 2, 3, (1, 0, 1)),
         ],
     )
     def test_invalid_arguments_rejected(self, call):
@@ -365,12 +383,13 @@ SHAPES = [
 
 @pytest.mark.parametrize("m,s,t", SHAPES)
 def test_shape_formula_matches_oracle(m, s, t):
-    # the induced-subgraph rule on every shape with s + t <= 8
+    # the induced-subgraph rule, enumerated and counted, on every shape with s + t <= 8
     totals = set()
     for w in [(1,) * t, tuple(range(1, t + 1)), tuple(range(t, 0, -1))]:
         graph = _xy_graph(m, s, t, w)
         table = shape_betti_formula(m, s, t, w)
         assert table == multigraded_betti(edge_ideal(graph))
+        assert shape_graded_formula(m, s, t, w) == table.graded()
         for _, a in table.entries:
             assert induced_subgraph(graph, a.support()).non_isolated() == a.support()
         totals.add(tuple(table.total_sequence()))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,8 +113,14 @@ class TestBinomial:
 
 
 def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        Multidegree(V2, (-1, 0))
+    for exponents in [(-1, 0), (2, -3)]:
+        message = re.escape(f"negative exponent in {exponents}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Multidegree(V2, exponents)
+
+
+def test_no_variables():
+    assert VariableSet(()).one().exponents == ()
 
 
 def test_wrong_length_rejected():
