@@ -78,6 +78,7 @@ from .formulas import (
     predicted_contribution,
     regularity_formula,
     shape_betti_formula,
+    shape_entry_count,
     shape_graded_formula,
     total_betti_closed_form,
 )

@@ -22,6 +22,7 @@ from .formulas import (
     family_top_betti,
     multigraded_betti_formula,
     shape_betti_formula,
+    shape_entry_count,
     shape_graded_formula,
 )
 from .graphs import WeightedOrientedGraph, crown, edge_ideal
@@ -32,6 +33,10 @@ from .render import graded_report, report_text, table_to_json_dict
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+
+# the most multigraded entries a crown formula table may list: the table
+# has about 3^n, 849,699 at n = 10 and 3,540,670 at n = 11
+MAX_LISTED_ENTRIES = 10**6
 
 
 class UsageError(Exception):
@@ -78,6 +83,14 @@ def cmd_crown(args) -> int:
         graded = shape_graded_formula(args.n, args.n, args.n, weights)
         print(graded_report(graded, raw=args.raw), end="")
         return EXIT_OK
+    if args.mode in ("formula", "both"):
+        count = shape_entry_count(args.n, args.n, args.n, weights)
+        if count > MAX_LISTED_ENTRIES:
+            raise UsageError(
+                f"the formula table has {count} multigraded entries, above the cap of "
+                f"{MAX_LISTED_ENTRIES}; --mode formula without --output json or --multigraded "
+                "counts the graded numbers instead"
+            )
     oracle = formula = None
     if args.mode in ("oracle", "both"):
         oracle = multigraded_betti(

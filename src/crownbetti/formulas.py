@@ -139,11 +139,12 @@ def shape_betti_formula(m: int, s: int, t: int, weights: Sequence[int]) -> Betti
     return BettiTable(_xy_variables(s, t), entries)
 
 
-def shape_graded_formula(
+def _entry_states(
     m: int, s: int, t: int, weights: Sequence[int]
-) -> dict[tuple[int, int], int]:
-    """Predicted graded Betti numbers beta_{i,j} of the shape (m, s, t),
-    counted without listing the vertex selections.
+) -> Iterator[tuple[int, int, int, int]]:
+    """(i, degree, value, count) over the states of the vertex selections
+    of the shape (m, s, t) that carry a nonzero entry: `count` selections
+    W each give beta_{i,a} = value at one a = theta(G[W]) of that degree.
 
     A selection's entry depends only on its number of missing pairs, its
     size, the degree of theta(G[W]) and which sides it uses, so a DP over
@@ -169,13 +170,29 @@ def shape_graded_formula(
                 key = (pairs + d_pairs, size + d_size, degree + d_degree, sides | d_sides)
                 grown[key] = grown.get(key, 0) + count
         states = grown
-    graded: dict[tuple[int, int], int] = {}
     for (pairs, size, degree, sides), count in states.items():
         if pairs == 1 or sides != 3:  # one pair, or an edgeless selection
             continue
         i, value = _top_entry(pairs, size)
+        yield i, degree, value, count
+
+
+def shape_graded_formula(
+    m: int, s: int, t: int, weights: Sequence[int]
+) -> dict[tuple[int, int], int]:
+    """Predicted graded Betti numbers beta_{i,j} of the shape (m, s, t),
+    counted without listing the vertex selections."""
+    graded: dict[tuple[int, int], int] = {}
+    for i, degree, value, count in _entry_states(m, s, t, weights):
         graded[i, degree] = graded.get((i, degree), 0) + count * value
     return graded
+
+
+def shape_entry_count(m: int, s: int, t: int, weights: Sequence[int]) -> int:
+    """Number of nonzero entries of shape_betti_formula(m, s, t, weights),
+    counted without listing them: distinct selections have distinct
+    theta(G[W]), so each counted selection is one entry."""
+    return sum(count for _, _, _, count in _entry_states(m, s, t, weights))
 
 
 def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:

@@ -17,12 +17,17 @@ facets), and many lattice points share one.  multigraded_betti keeps a
 memo from key to ranks for the length of one call, so each distinct
 complex has its faces enumerated and its homology computed once.
 
-Homology comes from sparse boundary columns built straight from the face
-masks, reduced from the top dimension down with clearing (Chen-Kerber's
-twist): a face that is a pivot row of the boundary one dimension up is a
-cycle modulo earlier columns, so its own column is skipped.  Ranks are
-exact in every characteristic below 2^64: one column reduction on Python
-integers serves F_p and, over Fractions, Q.
+Homology comes from a reduction of the boundary matrices from the top
+dimension down with clearing (Chen-Kerber's twist): a face that is a
+pivot row of the boundary one dimension up is a cycle modulo earlier
+columns, so its own column is skipped.  The lowest row of a face's
+boundary column is the face minus its lowest bit, with entry +1; when no
+earlier column owns that row, the face becomes its pivot unbuilt (an
+emergent pair, as in Bauer's Ripser).  Sparse columns are built straight
+from the face masks only when a later column collides with such a row or
+must itself be reduced.  Ranks are exact in every characteristic below
+2^64: one column reduction on Python integers serves F_p and, over
+Fractions, Q.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from operator import index
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .ideals import MonomialIdeal, lcm_lattice
 from .multidegree import Multidegree, VariableSet, lcm_of
@@ -94,32 +99,46 @@ class FieldSpec:
                 v = index(v) % p if p else index(v)
                 if v:
                     columns.setdefault(j, {})[i] = v
-        return len(self._pivots(columns.values()))
+        lows = ((max(col), j) for j, col in columns.items())
+        return len(self._pivots(lows, columns.__getitem__))
 
-    def _pivots(self, columns: Iterable[dict[int, int]]) -> dict[int, tuple]:
-        """Sparse column reduction on Python integers; returns, by pivot
-        row, the inverse of the pivot entry and the reduced column.
+    def _pivots(
+        self, columns: Iterable[tuple[int, Hashable]], build: Callable[[Hashable], dict[int, int]]
+    ) -> dict[int, Hashable]:
+        """Sparse column reduction on Python integers; returns the key of
+        the column that owns each pivot row.
 
-        Each column, held as {row: coeff} with coefficients nonzero in the
-        field, is cleared on its lowest (largest) row against the stored
-        column for that row until it vanishes or leads on a new row.  Only
-        reducing coefficients mod p and inverting a pivot entry depend on
-        the field; over Q a pivot entry of +-1 is its own inverse, so
-        Fractions appear only after some other pivot entry does.
+        ``columns`` gives each column as (its lowest row, its key), and
+        ``build(key)`` makes the column itself as a fresh {row: coeff} with
+        coefficients nonzero in the field.  A column whose lowest row no
+        earlier column owns is an emergent pair: it becomes that row's
+        pivot as it stands, and is built only if a later column collides
+        with the row.  Any other column is built and cleared on its lowest
+        (largest) row against the pivot for that row until it vanishes or
+        leads on a new row.  Only reducing coefficients mod p and
+        inverting a pivot entry depend on the field; over Q a pivot entry
+        of +-1 is its own inverse, so Fractions appear only after some
+        other pivot entry does.
         """
         p = self.characteristic
         if p:
             reduce, invert = (lambda c: c % p), (lambda c: pow(c, -1, p))
         else:
             reduce, invert = (lambda c: c), (lambda c: c if c in (1, -1) else Fraction(1, c))
-        pivots: dict[int, tuple] = {}
-        for col in columns:
-            while col:
-                low = max(col)
-                found = pivots.get(low)
+        pivots: dict[int, Hashable] = {}
+        # pivot row -> (inverse of the pivot entry, column), once built
+        built: dict[int, tuple] = {}
+        for low, key in columns:
+            owner = pivots.get(low)
+            if owner is None:
+                pivots[low] = key
+                continue
+            col = build(key)
+            while owner is not None:
+                found = built.get(low)
                 if found is None:
-                    pivots[low] = (invert(col[low]), col)
-                    break
+                    pivot = build(owner)
+                    found = built[low] = (invert(pivot[low]), pivot)
                 inv, pivot = found
                 factor = reduce(col[low] * inv)
                 for i, v in pivot.items():
@@ -128,6 +147,13 @@ class FieldSpec:
                         col[i] = c
                     else:
                         del col[i]
+                if not col:
+                    break
+                low = max(col)
+                owner = pivots.get(low)
+            else:  # the column leads on a row no column owns yet
+                pivots[low] = key
+                built[low] = (invert(col[low]), col)
         return pivots
 
 
@@ -217,7 +243,10 @@ def _koszul_complex(
             face = (face - 1) & facet
     if facets:
         masks.add(0)
-    ground = tuple(v for v, e in zip(names, exps) if e)
+    # from a list, so the tuple is allocated at its final length: tuple() of
+    # a generator shrinks a longer one, and the freed tuple then sits on
+    # the interpreter's free list for its new length until a full collection
+    ground = tuple([v for v, e in zip(names, exps) if e])
     return SimplicialComplexOnVars(ground, tuple(sorted(masks)))
 
 
@@ -254,19 +283,11 @@ def reduced_homology_ranks(
     # rank of the boundary map from dimension d to d-1, for d = 0 .. top+1
     boundary_rank = {top + 1: 0}
     # clearing: the pivot rows of the boundary one dimension up, by face
-    cleared: dict[int, tuple] = {}
+    cleared: dict[int, int] = {}
     for d in range(top, -1, -1):
-        columns = []
-        for mask in by_dim.get(d, ()):
-            if mask in cleared:
-                continue
-            col, sign, rest = {}, 1, mask
-            while rest:
-                bit = rest & -rest
-                col[mask ^ bit] = sign
-                sign, rest = -sign, rest ^ bit
-            columns.append(col)
-        cleared = field._pivots(columns)
+        # a face's lowest boundary row is the face minus its lowest bit
+        columns = [(mask & (mask - 1), mask) for mask in by_dim.get(d, ()) if mask not in cleared]
+        cleared = field._pivots(columns, _boundary)
         boundary_rank[d] = len(cleared)
     ranks: dict[int, int] = {}
     for d in range(-1, top + 1):
@@ -274,6 +295,17 @@ def reduced_homology_ranks(
         if r:
             ranks[d] = r
     return ranks
+
+
+def _boundary(mask: int) -> dict[int, int]:
+    """The boundary column of a face, {face minus one vertex: +-1}, with
+    +1 at its lowest row, the face minus its lowest bit."""
+    col, sign, rest = {}, 1, mask
+    while rest:
+        bit = rest & -rest
+        col[mask ^ bit] = sign
+        sign, rest = -sign, rest ^ bit
+    return col
 
 
 @dataclass(frozen=True)

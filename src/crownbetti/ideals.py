@@ -1,5 +1,9 @@
 """Monomial ideals: minimal generators, membership, colon, sum, product,
-intersection, dominance, and the lcm lattice."""
+intersection, dominance, and the lcm lattice.
+
+The lcm lattice is closed on plain ints: an exponent is coded in unary by
+its rank among the distinct nonzero exponents of its variable, so that
+componentwise max is bitwise OR and a huge weight is still one bit."""
 
 from __future__ import annotations
 
@@ -148,16 +152,39 @@ def is_dominant(ideal: MonomialIdeal) -> bool:
 def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Multidegree]:
     """All lcms of nonempty subsets of the minimal generators.
 
-    Computed as the closure of the generator exponent tuples under
-    componentwise max, which avoids enumerating 2^m subsets; a Multidegree
-    is built only for each returned point.
+    Computed as a closure that avoids enumerating 2^m subsets.  Each
+    exponent is coded in unary by its rank among the distinct nonzero
+    exponents its variable takes in the generators, one bit field per
+    variable: rank r is r low bits set, so exponent 0 is no bit and a
+    weight of 10^9 is still a single bit when it is its variable's only
+    level.  Ranks preserve order, so componentwise max is bitwise OR and
+    the closure runs on plain ints.  A point is decoded once, by the bit
+    count of each field, into the Multidegree that is returned.
     """
     gens = [g.exponents for g in ideal.generators]
-    points = frontier = set(gens)
+    # per variable: (bit offset, field mask, exponent by rank)
+    fields = []
+    offset = 0
+    for k in range(len(ideal.variables)):
+        levels = (0, *sorted({g[k] for g in gens} - {0}))
+        width = len(levels) - 1
+        fields.append((offset, (1 << width) - 1, levels))
+        offset += width
+    codes = {
+        sum(((1 << levels.index(e)) - 1) << off for e, (off, _, levels) in zip(g, fields))
+        for g in gens
+    }
+    points, frontier = set(codes), codes
     while frontier:
-        frontier = {tuple(map(max, p, g)) for p in frontier for g in gens} - points
+        frontier = {p | g for p in frontier for g in codes} - points
         points |= frontier
-    return frozenset(Multidegree(ideal.variables, p) for p in points)
+    return frozenset(
+        Multidegree(
+            ideal.variables,
+            tuple([levels[(p >> off & mask).bit_count()] for off, mask, levels in fields]),
+        )
+        for p in points
+    )
 
 
 def _check_same_ring(a: MonomialIdeal, b: MonomialIdeal) -> None:

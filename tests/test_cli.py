@@ -117,6 +117,24 @@ class TestCrownCommand:
         assert code == EXIT_OK
         assert "x1*x2*y1*y2" in out
 
+    @pytest.mark.parametrize(
+        "extra",
+        [("--mode", "formula", "--output", "json"), ("--mode", "formula", "--multigraded"),
+         ("--mode", "both")],
+    )
+    def test_listing_over_the_cap_exits_at_once(self, capsys, monkeypatch, extra):
+        # n = 11 has 3,540,670 entries: the count refuses before any listing
+        from crownbetti import cli as cli_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was listed or computed")
+
+        monkeypatch.setattr(cli_module, "multigraded_betti_formula", refuse)
+        monkeypatch.setattr(cli_module, "multigraded_betti", refuse)
+        code, out, err = run(capsys, "crown", "--n", "11", *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert "3540670" in err and "cap" in err
+
     def test_audit_full_lattice(self, capsys):
         code, out, _ = run(
             capsys, "crown", "--n", "2", "--mode", "oracle", "--audit-full-lattice"

@@ -21,6 +21,7 @@ from crownbetti import (
     predicted_contribution,
     regularity_formula,
     shape_betti_formula,
+    shape_entry_count,
     shape_graded_formula,
     theta,
     total_betti_closed_form,
@@ -246,6 +247,21 @@ class TestGradedFormula:
         for i, b in totals.items():
             assert b == total_betti_closed_form(n, i) <= mapping_cone_upper_bound(n, i)
         assert max(j - i for i, j in graded) == regularity_formula(n, w)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2, 2), (3, 3, 3), (5, 5, 5), (2, 4, 3), (0, 3, 4), (3, 3, 4), (1, 2, 2)]
+)
+def test_entry_count_is_table_size(shape):
+    weights = tuple(range(1, shape[2] + 1))
+    assert shape_entry_count(*shape, weights) == len(shape_betti_formula(*shape, weights).entries)
+
+
+def test_entry_count_keeps_n10_under_the_listing_cap():
+    from crownbetti.cli import MAX_LISTED_ENTRIES
+
+    assert shape_entry_count(10, 10, 10, (1,) * 10) == 849_699 <= MAX_LISTED_ENTRIES
+    assert shape_entry_count(11, 11, 11, tuple(range(1, 12))) == 3_540_670 > MAX_LISTED_ENTRIES
 
 
 class TestCrownArguments:

@@ -20,6 +20,8 @@ from crownbetti import (
     lcm_lattice,
     lcm_of,
     minimalize,
+    multigraded_betti,
+    multigraded_betti_formula,
     scale,
     xy_variables,
 )
@@ -245,6 +247,31 @@ class TestLcmLattice:
             lcm_of(sub) for r in range(1, len(gens) + 1) for sub in combinations(gens, r)
         }
         assert lcm_lattice(ideal) == brute
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([0, 1, 7, 10**12, 10**30])] * 5), min_size=1, max_size=6
+        ),
+        st.sets(st.integers(0, 4), max_size=3),
+    )
+    def test_sparse_huge_levels_match_subset_lcms(self, exps, absent):
+        # few, far-apart levels per variable and variables no generator uses:
+        # the closure codes ranks among levels, never raw exponent values
+        v5 = VariableSet(("a", "b", "c", "d", "e"))
+        rows = [tuple(0 if k in absent else e for k, e in enumerate(g)) for g in exps]
+        ideal = minimalize(v5, [v5.monomial(g) for g in rows if any(g)])
+        gens = ideal.generators
+        brute = {
+            lcm_of(sub) for r in range(1, len(gens) + 1) for sub in combinations(gens, r)
+        }
+        assert lcm_lattice(ideal) == brute
+
+    def test_weight_of_a_billion_is_one_level(self):
+        start = time.perf_counter()
+        table = multigraded_betti(edge_ideal(crown(3, (10**9, 1, 1))))
+        assert table == multigraded_betti_formula(3, (10**9, 1, 1))
+        assert time.perf_counter() - start < 1
 
 
 class TestSupportOfIdeal:
