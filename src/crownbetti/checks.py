@@ -3,19 +3,22 @@
 Each check returns a list of human-readable failure strings; an empty list
 means the check passed.  The CLI ``verify`` command and the acceptance
 tests are both built on these.
+
+Tables are compared whole, by ``BettiTable.differences``: oracle against
+closed form, I against J + K + shifted J ∩ K, and each induced subgraph
+G[W] against the full table restricted to the entries supported in W.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Sequence
 
 from .formulas import multigraded_betti_formula, regularity_formula, total_betti_closed_form
 from .graphs import crown, edge_ideal, induced_subgraph
-from .homology import FieldSpec, multigraded_betti
-from .ideals import ideal_intersect, lcm_lattice
+from .homology import BettiTable, FieldSpec, multigraded_betti
 from .multidegree import binomial
-from .splitting import crown_splitting, splitting_violation
+from .splitting import _splitting_tables, crown_splitting, splitting_violation
 
 
 def check_formula_vs_oracle(
@@ -24,12 +27,10 @@ def check_formula_vs_oracle(
     """Entry-for-entry equality of the predicted and oracle Betti tables."""
     oracle = multigraded_betti(edge_ideal(crown(n, weights)), field)
     predicted = multigraded_betti_formula(n, weights)
-    failures = []
-    for key in sorted(set(oracle.entries) | set(predicted.entries)):
-        got, want = oracle.entries.get(key, 0), predicted.entries.get(key, 0)
-        if got != want:
-            i, a = key
-            failures.append(f"beta_({i}, {a}) oracle={got} formula={want}")
+    failures = [
+        f"beta_({i}, {a}) oracle={oracle.entry(i, a)} formula={predicted.entry(i, a)}"
+        for i, a in oracle.differences(predicted)
+    ]
     if oracle.regularity() != regularity_formula(n, weights):
         failures.append(
             f"regularity oracle={oracle.regularity()} "
@@ -48,37 +49,31 @@ def check_formula_vs_oracle(
 def check_restriction(
     n: int, weights: Sequence[int], field: FieldSpec = FieldSpec()
 ) -> list[str]:
-    """Induced-subgraph restriction: for every vertex subset W and every
-    lattice multidegree supported inside W, the subgraph's Betti number
-    equals the full graph's."""
+    """Induced-subgraph restriction, table against table: for every vertex
+    subset W, the whole Betti table of I(G[W]) (empty when G[W] has no
+    edge) equals the full graph's table restricted to the entries (i, a)
+    with supp(a) inside W, at every homological index."""
     graph = crown(n, weights)
-    ideal = edge_ideal(graph)
-    full = multigraded_betti(ideal, field)
-    lattice = sorted(lcm_lattice(ideal))
-    failures = []
+    full = multigraded_betti(edge_ideal(graph), field)
+    empty = BettiTable(full.variables, {})
     vertices = graph.vertices.names
+    # each entry's support as a bitmask over the vertex order, read once
+    supports = [
+        (sum(1 << k for k, e in enumerate(a.exponents) if e), (i, a), c)
+        for (i, a), c in full.entries.items()
+    ]
+    failures = []
     for size in range(len(vertices) + 1):
-        for subset in combinations(vertices, size):
-            window = set(subset)
-            points = [a for a in lattice if a.support() <= window]
-            if not points:
-                continue
-            sub_ideal = edge_ideal(induced_subgraph(graph, window))
-            sub = (
-                multigraded_betti(sub_ideal, field)
-                if not sub_ideal.is_zero()
-                else None
+        for subset in combinations(range(len(vertices)), size):
+            window, names = sum(1 << k for k in subset), [vertices[k] for k in subset]
+            restricted = {key: c for s, key, c in supports if s | window == window}
+            sub_ideal = edge_ideal(induced_subgraph(graph, names))
+            sub = multigraded_betti(sub_ideal, field) if not sub_ideal.is_zero() else empty
+            failures.extend(
+                f"W={sorted(names)} beta_({i}, {a}): "
+                f"subgraph={sub.entry(i, a)} full={full.entry(i, a)}"
+                for i, a in sub.differences(BettiTable(full.variables, restricted))
             )
-            max_i = full.pdim() + 1
-            for a in points:
-                for i in range(max_i + 1):
-                    got = sub.entry(i, a) if sub is not None else 0
-                    want = full.entry(i, a)
-                    if got != want:
-                        failures.append(
-                            f"W={sorted(window)} beta_({i}, {a}): "
-                            f"subgraph={got} full={want}"
-                        )
     return failures
 
 
@@ -88,13 +83,15 @@ def check_crown_splitting(
     """The decomposition I_n = (I_{n-1} + x_n*A) + y_n^{w_n}*B is a Betti
     splitting, and the pdim/reg max-formulas hold on it."""
     j_ideal, k_ideal = crown_splitting(n, weights)
-    meet = ideal_intersect(j_ideal, k_ideal)
-    ideals = (edge_ideal(crown(n, weights)), j_ideal, k_ideal, meet)
-    t_whole, t_j, t_k, t_meet = (multigraded_betti(x, field) for x in ideals)
-    witness = splitting_violation(t_whole, t_j, t_k, t_meet)
+    try:
+        tables = _splitting_tables(edge_ideal(crown(n, weights)), j_ideal, k_ideal, field)
+    except ValueError as exc:
+        return [f"splitting of I_{n}: {exc}"]
+    witness = splitting_violation(*tables)
     if witness is not None:
         i, a = witness
         return [f"splitting of I_{n} fails at beta_({i}, {a})"]
+    t_whole, t_j, t_k, t_meet = tables
     failures = []
     if t_whole.pdim() != max(t_j.pdim(), t_k.pdim(), t_meet.pdim() + 1):
         failures.append(f"pdim max-formula fails for I_{n}")

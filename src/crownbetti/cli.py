@@ -108,8 +108,7 @@ def cmd_crown(args) -> int:
 
 def _report_mismatch(oracle: BettiTable, formula: BettiTable) -> int:
     """Print the first entry where the two tables differ; the mismatch code."""
-    keys = set(oracle.entries) | set(formula.entries)
-    i, a = min(k for k in keys if oracle.entries.get(k) != formula.entries.get(k))
+    i, a = oracle.differences(formula)[0]
     print(
         f"mismatch at beta_({i}, {a}): oracle={oracle.entry(i, a)} "
         f"formula={formula.entry(i, a)}",
@@ -179,6 +178,9 @@ def cmd_family(args) -> int:
         raise UsageError(f"family {args.kind!r} takes {arity} parameter(s)")
     _, _, n_y = shape(*params)
     weights = _parse_weights(args.weights, n_y)
+    field = _parse_field(args.field)
+    if not args.oracle and (args.raw or args.multigraded):
+        raise UsageError("--raw and --multigraded format the oracle table: add --oracle")
     try:
         top = family_top_betti(kind, params, weights)
     except ValueError as exc:
@@ -188,7 +190,7 @@ def cmd_family(args) -> int:
     print(f"top value: {top.top_value}")
     if args.oracle:
         graph = constructor(*params, weights)
-        table = multigraded_betti(edge_ideal(graph), _parse_field(args.field))
+        table = multigraded_betti(edge_ideal(graph), field)
         print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
         formula = shape_betti_formula(*shape(*params), weights)
         ok = table == formula

@@ -328,19 +328,14 @@ class BettiTable:
             if a.variables != self.variables:
                 raise ValueError("entry multidegree over a different variable set")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        return self.variables == other.variables and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.entries.items())))
-
     def entry(self, i: int, a: Multidegree) -> int:
         return self.entries.get((i, a), 0)
 
-    def is_empty(self) -> bool:
-        return not self.entries
+    def differences(self, other: BettiTable) -> list[tuple[int, Multidegree]]:
+        """The sorted keys (i, a) at which the two tables differ (a key
+        carries its variable set); empty exactly when the tables are equal."""
+        mine, theirs = self.entries, other.entries
+        return sorted(k for k in mine.keys() | theirs.keys() if mine.get(k) != theirs.get(k))
 
     def graded(self) -> dict[tuple[int, int], int]:
         """Graded Betti numbers beta_{i,j}, aggregating by total degree."""

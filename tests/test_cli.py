@@ -314,11 +314,16 @@ class TestFamilyCommand:
             ("family", "crown", "--params", "a"),
             ("family", "crown", "--params", "3", "--output", "json"),
             ("family", "crown", "--params", "3", "--audit-full-lattice"),
+            ("family", "crown", "--params", "3", "--field", "4"),
+            ("family", "crown", "--params", "3", "--field", "4", "--oracle"),
+            ("family", "crown", "--params", "3", "--raw"),
+            ("family", "crown", "--params", "3", "--multigraded"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
+        assert out == ""
         # argparse reports an option family does not take after its usage line
         last = err.splitlines()[-1]
         assert last.startswith(("error:", "crownbetti: error: unrecognized arguments:"))

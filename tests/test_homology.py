@@ -255,6 +255,37 @@ class TestAggregation:
             BettiTable(V, {(0, m(1, 0)): 0})
 
 
+class TestDifferences:
+    def test_two_empty_tables(self):
+        assert BettiTable(V, {}).differences(BettiTable(V, {})) == []
+
+    def test_empty_against_nonempty(self):
+        table = multigraded_betti(I_XX_XY)
+        assert BettiTable(V, {}).differences(table) == sorted(table.entries)
+
+    def test_disjoint_keys(self):
+        ones = BettiTable(V, {(0, m(2, 0)): 1, (1, m(2, 1)): 1})
+        others = BettiTable(V, {(0, m(1, 1)): 2})
+        assert ones.differences(others) == [(0, m(1, 1)), (0, m(2, 0)), (1, m(2, 1))]
+
+    def test_value_only(self):
+        ones = BettiTable(V, {(0, m(2, 0)): 1, (0, m(1, 1)): 1})
+        others = BettiTable(V, {(0, m(2, 0)): 1, (0, m(1, 1)): 3})
+        assert ones.differences(others) == [(0, m(1, 1))]
+
+    def test_equal_tables(self):
+        table = multigraded_betti(edge_ideal(crown(3, (2, 1, 3))))
+        assert table.differences(BettiTable(table.variables, dict(table.entries))) == []
+
+    @given(ideals4, ideals4)
+    @settings(max_examples=30, deadline=None)
+    def test_sorted_and_symmetric(self, first, second):
+        a, b = multigraded_betti(first), multigraded_betti(second)
+        keys = a.differences(b)
+        assert keys == sorted(keys) == b.differences(a)
+        assert set(keys) == {k for k in a.entries.keys() | b.entries.keys() if a.entry(*k) != b.entry(*k)}
+
+
 def dense_rank(matrix, char):
     """Reference rank of a list of rows: row reduction over Fractions
     (char 0) or ints mod p."""
