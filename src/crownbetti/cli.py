@@ -26,7 +26,7 @@ from .formulas import (
     shape_graded_formula,
 )
 from .graphs import WeightedOrientedGraph, crown, edge_ideal
-from .homology import BettiTable, FieldSpec, multigraded_betti
+from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
 from .multidegree import VariableSet
 from .render import graded_report, report_text, table_to_json_dict
 
@@ -37,6 +37,9 @@ EXIT_MISMATCH = 3
 # the most multigraded entries a crown formula table may list: the table
 # has about 3^n, 849,699 at n = 10 and 3,540,670 at n = 11
 MAX_LISTED_ENTRIES = 10**6
+
+
+FIELD_HELP = f"the oracle's field characteristic: a prime or 0 (default {DEFAULT_PRIME})"
 
 
 class UsageError(Exception):
@@ -57,7 +60,10 @@ def _parse_weights(text: Optional[str], n: int) -> tuple[int, ...]:
     return weights
 
 
-def _parse_field(text: str) -> FieldSpec:
+def _parse_field(text: Optional[str]) -> FieldSpec:
+    """The oracle's field: F_p for p = DEFAULT_PRIME unless --field names one."""
+    if text is None:
+        return FieldSpec()
     try:
         return FieldSpec(int(text))
     except ValueError as exc:
@@ -75,9 +81,9 @@ def cmd_crown(args) -> int:
     if args.n < 2:
         raise UsageError(f"crown graph needs n >= 2, got {args.n}")
     weights = _parse_weights(args.weights, args.n)
+    if args.mode == "formula" and args.field is not None:
+        raise UsageError("--field sets the oracle's field: --mode formula runs no oracle")
     field = _parse_field(args.field)
-    if args.mode == "formula" and args.audit_full_lattice:
-        raise UsageError("--audit-full-lattice applies to the oracle, not to --mode formula")
     if args.mode == "formula" and args.output == "text" and not args.multigraded:
         # the report shows graded numbers only: count them, list no entry
         graded = shape_graded_formula(args.n, args.n, args.n, weights)
@@ -93,11 +99,7 @@ def cmd_crown(args) -> int:
             )
     oracle = formula = None
     if args.mode in ("oracle", "both"):
-        oracle = multigraded_betti(
-            edge_ideal(crown(args.n, weights)),
-            field,
-            audit_full_box=args.audit_full_lattice,
-        )
+        oracle = multigraded_betti(edge_ideal(crown(args.n, weights)), field)
     if args.mode in ("formula", "both"):
         formula = multigraded_betti_formula(args.n, weights)
     if args.mode == "both" and oracle != formula:
@@ -162,7 +164,7 @@ def cmd_graph(args) -> int:
     if ideal.is_zero():
         raise UsageError("empty edge ideal: the graph has no edges")
     field = _parse_field(args.field)
-    table = multigraded_betti(ideal, field, audit_full_box=args.audit_full_lattice)
+    table = multigraded_betti(ideal, field)
     _emit(table, args)
     return EXIT_OK
 
@@ -179,8 +181,8 @@ def cmd_family(args) -> int:
     _, _, n_y = shape(*params)
     weights = _parse_weights(args.weights, n_y)
     field = _parse_field(args.field)
-    if not args.oracle and (args.raw or args.multigraded):
-        raise UsageError("--raw and --multigraded format the oracle table: add --oracle")
+    if not args.oracle and (args.field is not None or args.raw or args.multigraded):
+        raise UsageError("--field, --raw and --multigraded apply to the oracle table: add --oracle")
     try:
         top = family_top_betti(kind, params, weights)
     except ValueError as exc:
@@ -212,6 +214,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
+    if args.identity and args.field is not None:
+        raise UsageError("--field sets the oracle's field: --identity runs no oracle")
     field = _parse_field(args.field)
     results: list[tuple[str, list[str]]] = []
     if args.identity:
@@ -269,15 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_table_options(p):
-        p.add_argument("--field", default="32003", help="field characteristic: a prime or 0")
+        p.add_argument("--field", help=FIELD_HELP)
         p.add_argument("--raw", action="store_true", help="emit (i, j, count) triples instead of a diagram")
         p.add_argument("--multigraded", action="store_true", help="include the full multigraded table")
 
     def add_common(p):
         add_table_options(p)
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--audit-full-lattice", action="store_true",
-                       help="evaluate every multidegree below the lcm of all generators")
 
     p_crown = sub.add_parser("crown", help="Betti data of a crown edge ideal")
     p_crown.add_argument("--n", type=int, required=True)
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", default="2..4", help="range of crown sizes, e.g. 2..4")
     p_verify.add_argument("--weights", default="default",
                           help="'default' or semicolon-separated weight vectors")
-    p_verify.add_argument("--field", default="32003")
+    p_verify.add_argument("--field", help=FIELD_HELP)
     p_verify.add_argument("--identity", action="store_true",
                           help="only run the binomial identity check")
     p_verify.add_argument("--n-max", type=int, default=12,

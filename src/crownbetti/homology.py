@@ -5,17 +5,28 @@ complex at a are the squarefree vectors b <= supp(a) with x^(a-b) in I.
 The rank of the (i-1)-st reduced homology of that complex over the chosen
 field is the multigraded Betti number beta_{i,a}(I).  Only multidegrees in
 the lcm lattice of I can carry a nonzero Betti number, so the oracle
-evaluates exactly those (an audit mode sweeps the whole box below the lcm
-of all generators instead).
+evaluates exactly those.
 
 Faces are bitmasks over a ground tuple of labels (supp(a) here).
 Facet lemma: g divides x^(a-b) exactly when g divides x^a and b avoids
 every k with g_k = a_k, so the faces at a are the submasks of the facets
 F_g = {k in supp(a) : g_k < a_k} over the generators g dividing x^a.
-The complex at a is therefore fixed by its key (|supp(a)|, sorted maximal
-facets), and many lattice points share one.  multigraded_betti keeps a
+The homology at a is therefore fixed by its key, the sorted maximal
+facets, and many lattice points share one.  multigraded_betti keeps a
 memo from key to ranks for the length of one call, so each distinct
-complex has its faces enumerated and its homology computed once.
+complex has its homology computed once.
+
+A memo miss never lists the faces of the complex itself.  It first takes
+the strong-collapse core (Barmak-Minian): while some vertex v has another
+vertex w in every maximal facet that contains v, v is deleted, which keeps
+the homotopy type.  A core with one facet is a cone, or {Ø} when that
+facet is empty.  Otherwise, on the N vertices of the core, it lists the
+Alexander dual instead: the sets that contain no tight set, the
+complement of a core facet.  Then H~_i(K) has the rank of H~_{N-i-3} of
+the dual over any field (Miller-Sturmfels, Thm 5.6).  A complex and its
+dual have 2^N faces between them, so the listing stops once the dual
+passes 2^(N-1) faces and the core's own faces are reduced instead: either
+way at most half the box is reduced.
 
 Homology comes from a reduction of the boundary matrices from the top
 dimension down with clearing (Chen-Kerber's twist): a face that is a
@@ -34,12 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as cartesian_product
 from operator import index
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .ideals import MonomialIdeal, lcm_lattice
-from .multidegree import Multidegree, VariableSet, lcm_of
+from .multidegree import Multidegree, VariableSet
 
 DEFAULT_PRIME = 32003
 # Deterministic Miller-Rabin: these bases decide primality of every c < 2^64.
@@ -204,9 +214,9 @@ def _sparse_generators(ideal: MonomialIdeal) -> list[tuple[tuple[int, int], ...]
 
 def _facet_key(
     generators: Sequence[tuple[tuple[int, int], ...]], exps: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    """(|supp(a)|, sorted maximal facets F_g as bitmasks over supp(a)) for
-    the point a with exponents ``exps``; no facets means the void complex.
+) -> tuple[int, ...]:
+    """The sorted maximal facets F_g, as bitmasks over supp(a), for the
+    point a with exponents ``exps``; no facets means the void complex.
 
     F_g is supp(a) minus the k with g_k = a_k, which lie in supp(g)."""
     pos: dict[int, int] = {}
@@ -224,30 +234,32 @@ def _facet_key(
                 facet ^= 1 << pos[k]
         else:
             facets.add(facet)
+    return tuple(_maximal(facets))
+
+
+def _maximal(sets: Iterable[int]) -> list[int]:
+    """The inclusion-maximal masks among ``sets``, sorted."""
     maximal: list[int] = []
-    for facet in sorted(facets, key=int.bit_count, reverse=True):
-        if all(facet | other != other for other in maximal):
-            maximal.append(facet)
-    return len(pos), tuple(sorted(maximal))
+    for mask in sorted(set(sets), key=int.bit_count, reverse=True):
+        for other in maximal:
+            if mask | other == other:
+                break
+        else:
+            maximal.append(mask)
+    return sorted(maximal)
 
 
-def _koszul_complex(
-    names: Sequence[str], exps: tuple[int, ...], facets: tuple[int, ...]
-) -> SimplicialComplexOnVars:
-    """The complex on supp(a) whose faces are the submasks of ``facets``."""
+def _submasks(facets: Iterable[int]) -> list[int]:
+    """The faces of the complex with these facets, sorted: every submask of
+    a facet, the empty face 0 included unless there is no facet at all."""
     masks = set()
     for facet in facets:
         face = facet
         while face:
             masks.add(face)
             face = (face - 1) & facet
-    if facets:
         masks.add(0)
-    # from a list, so the tuple is allocated at its final length: tuple() of
-    # a generator shrinks a longer one, and the freed tuple then sits on
-    # the interpreter's free list for its new length until a full collection
-    ground = tuple([v for v, e in zip(names, exps) if e])
-    return SimplicialComplexOnVars(ground, tuple(sorted(masks)))
+    return sorted(masks)
 
 
 def upper_koszul_complex(
@@ -260,8 +272,12 @@ def upper_koszul_complex(
         raise ValueError("upper Koszul complex requires a nonzero, non-unit ideal")
     if a.variables != ideal.variables:
         raise ValueError("multidegree over a different variable set")
-    _, facets = _facet_key(_sparse_generators(ideal), a.exponents)
-    return _koszul_complex(a.variables.names, a.exponents, facets)
+    facets = _facet_key(_sparse_generators(ideal), a.exponents)
+    # from a list, so the tuple is allocated at its final length: tuple() of
+    # a generator shrinks a longer one, and the freed tuple then sits on
+    # the interpreter's free list for its new length until a full collection
+    ground = tuple([v for v, e in zip(a.variables.names, a.exponents) if e])
+    return SimplicialComplexOnVars(ground, tuple(_submasks(facets)))
 
 
 def reduced_homology_ranks(
@@ -274,11 +290,17 @@ def reduced_homology_ranks(
     """
     if complex_.is_void():
         return {}
-    by_dim: dict[int, list[int]] = {}
-    for mask in complex_.masks:
-        by_dim.setdefault(mask.bit_count() - 1, []).append(mask)
-    if -1 not in by_dim:
+    if 0 not in complex_.masks:
         raise ValueError("nonvoid complex must contain the empty face")
+    return _ranks(complex_.masks, field)
+
+
+def _ranks(masks: Iterable[int], field: FieldSpec) -> dict[int, int]:
+    """Reduced homology ranks of the nonvoid complex with these face masks,
+    as reduced_homology_ranks gives them."""
+    by_dim: dict[int, list[int]] = {}
+    for mask in masks:
+        by_dim.setdefault(mask.bit_count() - 1, []).append(mask)
     top = max(by_dim)
     # rank of the boundary map from dimension d to d-1, for d = 0 .. top+1
     boundary_rank = {top + 1: 0}
@@ -295,6 +317,83 @@ def reduced_homology_ranks(
         if r:
             ranks[d] = r
     return ranks
+
+
+def _facet_ranks(facets: Sequence[int], field: FieldSpec) -> dict[int, int]:
+    """Reduced homology ranks of the complex whose maximal facets are
+    ``facets`` (none: the void complex), from the smaller of its core's
+    face set and the core's Alexander dual; see the module docstring."""
+    if not facets:
+        return {}
+    core = _strong_core(facets)
+    if len(core) == 1:
+        return {-1: 1} if core[0] == 0 else {}
+    support = 0
+    for facet in core:
+        support |= facet
+    n = support.bit_count()
+    dual = _dual_faces(support, core, 1 << (n - 1))
+    if dual is None:
+        return _ranks(_submasks(core), field)
+    return {n - j - 3: r for j, r in _ranks(dual, field).items()}
+
+
+def _strong_core(facets: Sequence[int]) -> list[int]:
+    """The maximal facets left once no vertex is dominated.
+
+    A vertex v is dominated when some other vertex lies in every maximal
+    facet that contains v; deleting it is a strong collapse.  The loop
+    stops early at a single facet, whose complex is a cone or {Ø}.
+    """
+    facets = list(facets)
+    collapsed = True
+    while collapsed and len(facets) > 1:
+        collapsed = False
+        support = 0
+        for facet in facets:
+            support |= facet
+        while support and len(facets) > 1:
+            bit = support & -support
+            support ^= bit
+            common = -1
+            for facet in facets:
+                if facet & bit:
+                    common &= facet
+            if common != bit:
+                facets = _maximal([facet & ~bit for facet in facets])
+                collapsed = True
+    return facets
+
+
+def _dual_faces(support: int, facets: Sequence[int], limit: int) -> Optional[list[int]]:
+    """The faces of the Alexander dual, on the vertex set ``support``, of
+    the complex with these facets, sorted; None once there are more than
+    ``limit``.
+
+    The dual's faces are the sets that contain no tight set, the
+    complement of a facet.  They are listed vertex by vertex: each face
+    over the vertices below v is kept, and kept again with v added unless
+    that completes a tight set whose highest vertex is v.  Every set listed
+    on the way is a face, so the list stops growing at the first vertex
+    that takes it past the limit.
+    """
+    # each tight set without its highest vertex, by that vertex
+    rests: dict[int, list[int]] = {}
+    for facet in facets:
+        tight = support ^ facet
+        top = 1 << (tight.bit_length() - 1)
+        rests.setdefault(top, []).append(tight ^ top)
+    faces = [0]
+    while support:
+        bit = support & -support
+        support ^= bit
+        grown = faces
+        for rest in rests.get(bit, ()):
+            grown = [face for face in grown if rest & face != rest]
+        faces += [face | bit for face in grown]
+        if len(faces) > limit:
+            return None
+    return faces
 
 
 def _boundary(mask: int) -> dict[int, int]:
@@ -380,38 +479,19 @@ class BettiTable:
             raise ValueError("empty Betti table")
 
 
-def multigraded_betti(
-    ideal: MonomialIdeal,
-    field: FieldSpec = FieldSpec(),
-    audit_full_box: bool = False,
-) -> BettiTable:
-    """Complete multigraded Betti table of a nonzero, non-unit monomial ideal.
-
-    By default only lcm-lattice multidegrees are evaluated; with
-    ``audit_full_box`` every multidegree componentwise below the lcm of all
-    generators is evaluated, as a cross-check of the lattice restriction.
-    """
+def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> BettiTable:
+    """Complete multigraded Betti table of a nonzero, non-unit monomial ideal,
+    evaluated at the points of its lcm lattice."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("Betti numbers computed only for nonzero, non-unit ideals")
-    if audit_full_box:
-        top = lcm_of(ideal.generators)
-        points = [
-            Multidegree(ideal.variables, exps)
-            for exps in cartesian_product(*(range(e + 1) for e in top.exponents))
-            if any(exps)
-        ]
-    else:
-        points = sorted(lcm_lattice(ideal))
     generators = _sparse_generators(ideal)
-    names = ideal.variables.names
-    memo: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    memo: dict[tuple[int, ...], dict[int, int]] = {}
     entries: dict[tuple[int, Multidegree], int] = {}
-    for a in points:
+    for a in sorted(lcm_lattice(ideal)):
         key = _facet_key(generators, a.exponents)
         ranks = memo.get(key)
         if ranks is None:
-            complex_ = _koszul_complex(names, a.exponents, key[1])
-            ranks = memo[key] = reduced_homology_ranks(complex_, field)
+            ranks = memo[key] = _facet_ranks(key, field)
         for d, r in ranks.items():
             entries[(d + 1, a)] = r
     return BettiTable(ideal.variables, entries)

@@ -8,6 +8,7 @@ import pytest
 
 from crownbetti import (
     BettiTable,
+    FieldSpec,
     checks,
     crown,
     edge_ideal,
@@ -135,12 +136,14 @@ class TestCrownCommand:
         assert code == EXIT_USAGE and out == ""
         assert "3540670" in err and "cap" in err
 
-    def test_audit_full_lattice(self, capsys):
-        code, out, _ = run(
-            capsys, "crown", "--n", "2", "--mode", "oracle", "--audit-full-lattice"
-        )
-        assert code == EXIT_OK
-        assert "pdim: 1" in out
+    def test_audit_full_lattice_is_refused(self, capsys):
+        # no command sweeps the full box: the flag is an unknown argument
+        for mode in ("oracle", "formula"):
+            code, out, err = run(
+                capsys, "crown", "--n", "2", "--mode", mode, "--audit-full-lattice"
+            )
+            assert code == EXIT_USAGE and out == ""
+            assert "unrecognized arguments: --audit-full-lattice" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -151,7 +154,7 @@ class TestCrownCommand:
             ("crown", "--n", "3", "--weights", "1,0,2"),
             ("crown", "--n", "2", "--field", "4"),
             ("crown", "--n", "2", "--field", "18446744073709551629"),
-            ("crown", "--n", "3", "--mode", "formula", "--audit-full-lattice"),
+            ("crown", "--n", "3", "--mode", "formula", "--field", "2"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -327,6 +330,83 @@ class TestFamilyCommand:
         # argparse reports an option family does not take after its usage line
         last = err.splitlines()[-1]
         assert last.startswith(("error:", "crownbetti: error: unrecognized arguments:"))
+
+
+class TestFieldOption:
+    # --field picks the oracle's field: it is refused where no oracle runs,
+    # and every oracle path defaults to F_32003
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("crown", "--n", "3", "--mode", "formula", "--field", "32003"),
+            ("crown", "--n", "3", "--mode", "formula", "--output", "json", "--field", "0"),
+            ("family", "crown", "--params", "3", "--field", "2"),
+            ("family", "unbalanced", "--params", "4,3", "--field", "32003"),
+            ("verify", "--identity", "--field", "2"),
+        ],
+    )
+    def test_field_without_oracle_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "--field" in err
+
+    @pytest.fixture
+    def oracle_fields(self, monkeypatch):
+        """The field of every oracle table the command computes."""
+        import crownbetti.cli as cli_module
+
+        fields = []
+
+        def recording(ideal, field):
+            fields.append(field)
+            return multigraded_betti(ideal, field)
+
+        monkeypatch.setattr(cli_module, "multigraded_betti", recording)
+        return fields
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("crown", "--n", "3", "--mode", "oracle"),
+            ("crown", "--n", "3", "--mode", "both"),
+            ("family", "crown", "--params", "3", "--oracle"),
+        ],
+    )
+    def test_oracle_defaults_to_32003(self, capsys, oracle_fields, argv):
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert oracle_fields == [FieldSpec(32003)]
+
+    def test_graph_defaults_to_32003(self, capsys, oracle_fields, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+        assert run(capsys, "graph", str(path))[0] == EXIT_OK
+        assert oracle_fields == [FieldSpec(32003)]
+
+    def test_verify_defaults_to_32003(self, capsys, monkeypatch):
+        fields = set()
+
+        def recording(n, weights, field):
+            fields.add(field)
+            return []
+
+        for name in ("check_formula_vs_oracle", "check_crown_splitting", "check_restriction"):
+            monkeypatch.setattr(checks, name, recording)
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == EXIT_OK and "FAIL" not in out
+        assert fields == {FieldSpec(32003)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("crown", "--n", "3", "--mode", "oracle", "--field", "2"),
+            ("family", "crown", "--params", "3", "--oracle", "--field", "0"),
+            ("verify", "--n", "2", "--field", "3"),
+        ],
+    )
+    def test_field_with_oracle_is_accepted(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
 
 
 class TestVerifyCommand:

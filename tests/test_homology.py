@@ -22,6 +22,8 @@ from crownbetti import (
     upper_koszul_complex,
     xy_variables,
 )
+from crownbetti import homology
+from crownbetti.homology import _dual_faces, _facet_ranks, _strong_core
 
 V = VariableSet(("x", "y"))
 
@@ -162,6 +164,21 @@ class TestReducedHomology:
             assert face_sum == rank_sum
 
 
+def full_box_table(ideal, field):
+    """The Betti table from every point of the box below the lcm of the
+    generators, not only the lcm lattice, each complex built and reduced
+    afresh from its definition."""
+    top = lcm_of(ideal.generators).exponents
+    entries = {}
+    for exps in itertools.product(*(range(e + 1) for e in top)):
+        if not any(exps):
+            continue
+        a = ideal.variables.monomial(exps)
+        for d, r in reduced_homology_ranks(upper_koszul_complex(ideal, a), field).items():
+            entries[(d + 1, a)] = r
+    return BettiTable(ideal.variables, entries)
+
+
 class TestMultigradedBetti:
     @pytest.mark.parametrize("w", [(1, 1), (3, 2)])
     def test_crown2_complete_intersection(self, w):
@@ -190,13 +207,13 @@ class TestMultigradedBetti:
         with pytest.raises(ValueError):
             multigraded_betti(minimalize(V, [m(0, 0)]))
 
-    def test_audit_full_box_agrees_with_lattice(self):
+    def test_full_box_sweep_agrees_with_lattice(self):
         for ideal in [
             I_XX_XY,
             edge_ideal(crown(2, (2, 1))),
             minimalize(V, [m(2, 0), m(1, 1), m(0, 2)]),
         ]:
-            assert multigraded_betti(ideal, audit_full_box=True) == multigraded_betti(ideal)
+            assert full_box_table(ideal, FieldSpec()) == multigraded_betti(ideal)
 
     def test_scaling_invariance(self):
         u = m(1, 2)
@@ -208,19 +225,8 @@ class TestMultigradedBetti:
     @settings(max_examples=100)
     @given(ideals4, st.sampled_from([0, 2, 32003]))
     def test_memoised_table_matches_point_by_point(self, ideal, char):
-        # every point of the box below the lcm, each complex computed afresh
         field = FieldSpec(char)
-        top = lcm_of(ideal.generators).exponents
-        entries = {}
-        for exps in itertools.product(*(range(e + 1) for e in top)):
-            if not any(exps):
-                continue
-            a = V4.monomial(exps)
-            for d, r in reduced_homology_ranks(upper_koszul_complex(ideal, a), field).items():
-                entries[(d + 1, a)] = r
-        expected = BettiTable(V4, entries)
-        assert multigraded_betti(ideal, field) == expected
-        assert multigraded_betti(ideal, field, audit_full_box=True) == expected
+        assert multigraded_betti(ideal, field) == full_box_table(ideal, field)
 
     def test_alternating_sum_vanishes(self):
         for w in [(1, 1, 1), (2, 1, 3)]:
@@ -391,6 +397,83 @@ class TestLazyColumns:
         ranks = reduced_homology_ranks(complex_, FieldSpec(char))
         assert ranks == dense_homology_ranks(complex_, char)
         assert ranks == (over_f2 if char == 2 else over_q)
+
+
+def masks_of(facets):
+    """Vertex-label tuples over 1..8 as bitmasks, vertex i at bit i - 1."""
+    return sorted(sum(1 << (v - 1) for v in facet) for facet in facets)
+
+
+def primal_ranks(facets, char):
+    """Reduced homology of the downward closure of the facet masks, from the
+    public definition over the ground set v0..v7."""
+    ground = tuple(f"v{k}" for k in range(8))
+    faces = simplex_closure([tuple(ground[k] for k in range(8) if f >> k & 1) for f in facets])
+    complex_ = SimplicialComplexOnVars.from_faces(ground, faces)
+    return reduced_homology_ranks(complex_, FieldSpec(char))
+
+
+FIVE_CYCLE = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+
+
+class TestFacetRanks:
+    # _facet_ranks never builds the complex: it collapses the facets to their
+    # strong-collapse core and reduces the core's Alexander dual, or the core
+    # itself when the dual is the larger side
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 255), max_size=6), CHARACTERISTICS)
+    @example([255], 0)
+    @example([255], 2)
+    @example([0], 3)
+    @example([0], 4294967311)
+    @example([], 32003)
+    @example([1, 2], 0)
+    @example(masks_of(RP2_FACETS), 2)
+    @example(masks_of(TORUS_FACETS), 0)
+    def test_matches_primal_complex(self, sets, char):
+        # random facet sets over at most eight vertices: the full simplex,
+        # {empty face} and the void complex among them
+        facets = tuple(sorted(f for f in set(sets) if not any(f | g == g != f for g in sets)))
+        assert _facet_ranks(facets, FieldSpec(char)) == primal_ranks(facets, char)
+
+    @pytest.fixture
+    def reduced_sizes(self, monkeypatch):
+        """The number of faces of each complex _facet_ranks reduces."""
+        sizes, ranks = [], homology._ranks
+
+        def recording(masks, field):
+            masks = list(masks)
+            sizes.append(len(masks))
+            return ranks(masks, field)
+
+        monkeypatch.setattr(homology, "_ranks", recording)
+        return sizes
+
+    @pytest.mark.parametrize("char", [0, 2, 32003])
+    def test_five_cycle_reduces_the_primal(self, char, reduced_sizes):
+        # nothing collapses (the two edges at a vertex share only that
+        # vertex); the dual has 21 of the 32 sets, so the primal's 11 faces
+        # are reduced
+        facets = masks_of(FIVE_CYCLE)
+        assert _strong_core(facets) == facets
+        assert _dual_faces(0b11111, facets, 16) is None
+        assert _facet_ranks(facets, FieldSpec(char)) == {1: 1}
+        assert reduced_sizes == [11]
+
+    def test_projective_plane_dual_is_exactly_half(self, reduced_sizes):
+        facets = masks_of(RP2_FACETS)
+        assert _strong_core(facets) == facets
+        assert len(_dual_faces(0b111111, facets, 32)) == 32
+        assert _facet_ranks(facets, FieldSpec(2)) == {1: 1, 2: 1}
+        assert _facet_ranks(facets, FieldSpec(0)) == {}
+        assert reduced_sizes == [32, 32]
+
+    def test_cone_collapses_to_one_facet(self):
+        # the cone over the five-cycle with apex 6
+        facets = masks_of([f + (6,) for f in FIVE_CYCLE])
+        assert len(_strong_core(facets)) == 1
+        assert _facet_ranks(facets, FieldSpec()) == {}
 
 
 class TestFieldSpec:
