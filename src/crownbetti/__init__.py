@@ -75,7 +75,6 @@ from .formulas import (
     family_top_betti,
     graded_betti_formula,
     multigraded_betti_formula,
-    predicted_contribution,
     regularity_formula,
     shape_betti_formula,
     shape_entry_count,

@@ -124,11 +124,20 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
 
     Schema: {"vertices": [label, ...], "edges": [[tail, head], ...],
     "weights": {vertex: positive integer, ...}}; labels are strings, weights default to 1,
-    no other key is allowed and no edge may repeat.
+    no other key is allowed and no key or edge may repeat.
     """
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise UsageError(f"{path}: key {repeated!r} is given more than once")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -214,54 +223,40 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
-    if args.identity and args.field is not None:
-        raise UsageError("--field sets the oracle's field: --identity runs no oracle")
     field = _parse_field(args.field)
+    lo, hi = _parse_range(args.n)
+    if hi > 6:
+        raise UsageError(f"oracle verification is guarded at n <= 6, got {hi}")
+    if not 2 <= lo <= hi:
+        raise UsageError(f"bad range {args.n!r}: crown sizes need 2 <= LO <= HI")
+    if args.n_max < 2:
+        raise UsageError(f"the identity check needs --n-max >= 2, got {args.n_max}")
+    # every weight row is parsed for every n before any check runs
+    matrices = {
+        n: checks.default_weight_matrix(n)
+        if args.weights == "default"
+        else [_parse_weights(row, n) for row in args.weights.split(";")]
+        for n in range(lo, hi + 1)
+    }
     results: list[tuple[str, list[str]]] = []
-    if args.identity:
-        if args.n_max < 2:
-            raise UsageError(f"the identity check needs --n-max >= 2, got {args.n_max}")
-        results.append(
-            (f"binomial-identity n<={args.n_max}", checks.check_binomial_identity(args.n_max))
-        )
-    else:
-        lo, hi = _parse_range(args.n)
-        if hi > 6:
-            raise UsageError(f"oracle verification is guarded at n <= 6, got {hi}")
-        if not 2 <= lo <= hi:
-            raise UsageError(f"bad range {args.n!r}: crown sizes need 2 <= LO <= HI")
-        for n in range(lo, hi + 1):
-            if args.weights == "default":
-                matrix = checks.default_weight_matrix(n)
-            else:
-                matrix = [
-                    _parse_weights(row, n) for row in args.weights.split(";")
-                ]
-            for weights in matrix:
-                label = f"n={n} w={','.join(str(w) for w in weights)}"
-                results.append(
-                    (f"formula-vs-oracle {label}", checks.check_formula_vs_oracle(n, weights, field))
-                )
-                if n >= 3:
-                    results.append(
-                        (f"crown-splitting {label}", checks.check_crown_splitting(n, weights, field))
-                    )
+    for n, matrix in matrices.items():
+        for weights in matrix:
+            label = f"n={n} w={','.join(str(w) for w in weights)}"
             results.append(
-                (f"restriction n={n}", checks.check_restriction(n, matrix[0], field))
+                (f"formula-vs-oracle {label}", checks.check_formula_vs_oracle(n, weights, field))
             )
-        results.append(("binomial-identity n<=12", checks.check_binomial_identity(12)))
-    failed = 0
-    for name, failures in results:
-        if failures:
-            failed += 1
-            print(f"FAIL {name}: {failures[0]}")
-        else:
-            print(f"PASS {name}")
-    print(
-        json.dumps(
-            {"checks": len(results), "failures": failed}, sort_keys=True
-        )
+            if n >= 3:
+                results.append(
+                    (f"crown-splitting {label}", checks.check_crown_splitting(n, weights, field))
+                )
+        results.append((f"restriction n={n}", checks.check_restriction(n, matrix[0], field)))
+    results.append(
+        (f"binomial-identity n<={args.n_max}", checks.check_binomial_identity(args.n_max))
     )
+    for name, failures in results:
+        print(f"FAIL {name}: {failures[0]}" if failures else f"PASS {name}")
+    failed = sum(1 for _, failures in results if failures)
+    print(json.dumps({"checks": len(results), "failures": failed}, sort_keys=True))
     return EXIT_OK if failed == 0 else EXIT_MISMATCH
 
 
@@ -307,10 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--weights", default="default",
                           help="'default' or semicolon-separated weight vectors")
     p_verify.add_argument("--field", help=FIELD_HELP)
-    p_verify.add_argument("--identity", action="store_true",
-                          help="only run the binomial identity check")
     p_verify.add_argument("--n-max", type=int, default=12,
-                          help="upper bound for the identity check")
+                          help="upper bound for the binomial identity check that ends the sweep")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import (
     WeightedOrientedGraph,
     complete_bipartite,
     crown,
     generalized_crown,
-    induced_subgraph,
-    theta,
     unbalanced_crown,
 )
 from .homology import BettiTable
@@ -59,14 +57,15 @@ def _check_shape(m: int, s: int, t: int, weights: Sequence[int]) -> None:
 
 
 def _selections(
-    m: int, s: int, t: int, weights: Sequence[int], pairs: int, lone: int, two_sided: bool
+    m: int, s: int, t: int, weights: Sequence[int], pairs: int, size: int
 ) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples over x1..xs, y1..yt of the vertex selections of the
-    shape (m, s, t) made of `pairs` missing pairs {xr, yr}, r <= m, plus
-    `lone` further slots: an unpaired r <= m gives xr or yr, and each xr
-    or yr with r > m is its own slot.  With `two_sided`, the selections
-    whose vertices all lie on one side are dropped."""
+    """Exponent tuples over x1..xs, y1..yt of the `size`-vertex selections
+    of the shape (m, s, t) holding `pairs` missing pairs {xr, yr}, r <= m.
+    The rest fill one slot each: an unpaired r <= m gives xr or yr, and each
+    xr or yr with r > m is its own slot.  With no pair, a selection may lie
+    on one side and hold no edge; those are dropped."""
     _check_shape(m, s, t, weights)
+    lone = size - 2 * pairs
     if lone < 0:
         return
     for paired in combinations(range(m), pairs):
@@ -81,7 +80,7 @@ def _selections(
                 exps = base.copy()
                 for pos, e in choice:
                     exps[pos] = e
-                if two_sided and not (any(exps[:s]) and any(exps[s:])):
+                if not pairs and not (any(exps[:s]) and any(exps[s:])):
                     continue
                 yield tuple(exps)
 
@@ -98,44 +97,31 @@ def enumerate_N(
     if k < 2 or k > m:
         raise ValueError(f"need 2 <= k <= m, got k = {k}")
     variables = _xy_variables(s, t)
-    return frozenset(
-        Multidegree(variables, e) for e in _selections(m, s, t, weights, k, i + 3 - 2 * k, False)
-    )
+    return frozenset(Multidegree(variables, e) for e in _selections(m, s, t, weights, k, i + 3))
 
 
 def enumerate_M(m: int, s: int, t: int, weights: Sequence[int], i: int) -> frozenset[Multidegree]:
     """theta(G[W]) over the vertex sets W of the shape (m, s, t) with no
     missing pair, i + 2 vertices and both sides nonempty."""
     variables = _xy_variables(s, t)
-    return frozenset(
-        Multidegree(variables, e) for e in _selections(m, s, t, weights, 0, i + 2, True)
-    )
-
-
-def _index_entries(
-    m: int, s: int, t: int, weights: Sequence[int], i: int
-) -> Iterator[tuple[Multidegree, int]]:
-    """The nonzero (a, beta_{i,a}) of the shape at index i: one per vertex
-    set W with no isolated vertex, valued by the top entry of G[W].  The
-    one-pair sets are left out: their top value is 0."""
-    for k in range(2, m + 1):
-        _, value = _top_entry(k, i + 3)
-        for a in enumerate_N(m, s, t, weights, i, k):
-            yield a, value
-    _, value = _top_entry(0, i + 2)
-    for a in enumerate_M(m, s, t, weights, i):
-        yield a, value
+    return frozenset(Multidegree(variables, e) for e in _selections(m, s, t, weights, 0, i + 2))
 
 
 def shape_betti_formula(m: int, s: int, t: int, weights: Sequence[int]) -> BettiTable:
     """Predicted multigraded Betti table of the edge ideal of the shape
-    (m, s, t) with y-weights `weights`."""
+    (m, s, t) with y-weights `weights`: one entry (i, theta(G[W])) per
+    vertex set W with no isolated vertex, valued by the top entry of G[W].
+    The one-pair sets are left out: their top value is 0."""
     _check_shape(m, s, t, weights)
-    entries = {
-        (i, a): value
-        for i in range(s + t - 1)  # a vertex set W reaches index |W| - 2 at most
-        for a, value in _index_entries(m, s, t, weights, i)
-    }
+    entries: dict[tuple[int, Multidegree], int] = {}
+    for i in range(s + t - 1):  # a vertex set W reaches index |W| - 2 at most
+        for k in range(2, m + 1):
+            _, value = _top_entry(k, i + 3)
+            for a in enumerate_N(m, s, t, weights, i, k):
+                entries[i, a] = value
+        _, value = _top_entry(0, i + 2)
+        for a in enumerate_M(m, s, t, weights, i):
+            entries[i, a] = value
     return BettiTable(_xy_variables(s, t), entries)
 
 
@@ -261,17 +247,3 @@ def family_top_betti(
     # no vertex is isolated, so theta is x_i for i <= s times y_j^{w_j} for j <= t
     return FamilyTopBetti(index, Multidegree(graph.vertices, (1,) * s + tuple(weights)), value)
 
-
-def predicted_contribution(
-    n: int, weights: Sequence[int], subset: Iterable[str]
-) -> Optional[tuple[int, Multidegree, int]]:
-    """Top Betti contribution (index, theta, value) of the induced subgraph
-    of the crown on a vertex subset W, or None when W has an isolated
-    vertex (an edgeless W included) or holds exactly one pair {xr, yr}."""
-    chosen = set(subset)
-    sub = induced_subgraph(crown(n, weights), chosen)
-    pairs = sum(f"y{v[1:]}" in chosen for v in chosen if v[0] == "x")
-    if not sub.edges or sub.non_isolated() != chosen or pairs == 1:
-        return None
-    index, value = _top_entry(pairs, len(chosen))
-    return index, theta(sub), value

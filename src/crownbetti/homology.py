@@ -487,7 +487,7 @@ def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> B
     generators = _sparse_generators(ideal)
     memo: dict[tuple[int, ...], dict[int, int]] = {}
     entries: dict[tuple[int, Multidegree], int] = {}
-    for a in sorted(lcm_lattice(ideal)):
+    for a in lcm_lattice(ideal):
         key = _facet_key(generators, a.exponents)
         ranks = memo.get(key)
         if ranks is None:

@@ -255,6 +255,8 @@ class TestGraphCommand:
             {"vertices": ["1", "2"], "edges": [[1, 2]]},
             {"vertices": ["a", "b"], "edges": [["a", "b"]], "weigths": {"b": 5}},
             {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]},
+            '{"vertices": ["a", "b"], "edges": [["a", "b"]], "edges": [["b", "a"]]}',
+            '{"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": 1, "b": 3}}',
         ],
     )
     def test_malformed_documents_rejected(self, capsys, tmp_path, payload):
@@ -343,7 +345,7 @@ class TestFieldOption:
             ("crown", "--n", "3", "--mode", "formula", "--output", "json", "--field", "0"),
             ("family", "crown", "--params", "3", "--field", "2"),
             ("family", "unbalanced", "--params", "4,3", "--field", "32003"),
-            ("verify", "--identity", "--field", "2"),
+            ("family", "generalized", "--params", "2,4,3", "--field", "0"),
         ],
     )
     def test_field_without_oracle_exits_2(self, capsys, argv):
@@ -423,10 +425,29 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "PASS formula-vs-oracle n=3 w=2,1,3" in out
 
-    def test_identity_only(self, capsys):
-        code, out, _ = run(capsys, "verify", "--identity", "--n-max", "10")
+    def test_n_max_bounds_the_identity(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "2", "--n-max", "14")
         assert code == EXIT_OK
-        assert "PASS binomial-identity n<=10" in out
+        assert out.splitlines()[-2] == "PASS binomial-identity n<=14"
+
+    def test_identity_flag_is_gone(self, capsys):
+        # the identity ends every sweep; there is no identity-only mode
+        code, out, err = run(capsys, "verify", "--identity")
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --identity" in err
+
+    def test_weight_rows_parsed_before_any_check(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check ran before every weight row was parsed")
+
+        for name in (
+            "check_formula_vs_oracle", "check_crown_splitting", "check_restriction",
+            "check_binomial_identity",
+        ):
+            monkeypatch.setattr(checks, name, refuse)
+        code, out, err = run(capsys, "verify", "--n", "2..3", "--weights", "1,1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: expected 3 weights, got 2\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -435,7 +456,7 @@ class TestVerifyCommand:
             ("verify", "--n", "1..3"),
             ("verify", "--n", "junk"),
             ("verify", "--n", "5..3"),
-            ("verify", "--identity", "--n-max", "-3"),
+            ("verify", "--n-max", "1"),
         ],
     )
     def test_usage_errors(self, capsys, argv):

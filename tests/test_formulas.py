@@ -18,7 +18,6 @@ from crownbetti import (
     mapping_cone_upper_bound,
     multigraded_betti,
     multigraded_betti_formula,
-    predicted_contribution,
     regularity_formula,
     shape_betti_formula,
     shape_entry_count,
@@ -353,41 +352,6 @@ class TestFamilyTopBetti:
         assert top.top_multidegree == xy_variables(300).monomial((1,) * 600)
 
 
-class TestPredictedContribution:
-    def test_full_vertex_set(self):
-        n, w = 3, (1, 2, 1)
-        out = predicted_contribution(n, w, xy_variables(n).names)
-        assert out == (2 * n - 3, theta(crown(n, w)), n - 1)
-
-    def test_single_cross_edge(self):
-        w = (1, 2, 1)
-        out = predicted_contribution(3, w, {"x1", "y2"})
-        assert out == (0, xy_variables(3).from_dict({"x1": 1, "y2": w[1]}), 1)
-
-    def test_one_pair_contributes_nothing(self):
-        assert predicted_contribution(3, (1, 1, 1), {"x1", "y1", "x2"}) is None
-
-    def test_edgeless_subsets_contribute_nothing(self):
-        for subset in ({"x1", "x2", "x3"}, {"x1", "y1"}, set()):
-            assert predicted_contribution(3, (1, 1, 1), subset) is None
-
-    def test_unknown_vertex_rejected(self):
-        with pytest.raises(ValueError, match="not in the graph"):
-            predicted_contribution(3, (1, 1, 1), {"x1", "y4"})
-
-    @pytest.mark.parametrize("n,w", [(3, (1, 2, 1)), (4, (1, 1, 1, 1))])
-    def test_reassembles_full_table(self, n, w):
-        entries = {}
-        for size in range(2 * n + 1):
-            for subset in itertools.combinations(xy_variables(n).names, size):
-                out = predicted_contribution(n, w, subset)
-                if out is not None:
-                    i, a, value = out
-                    assert (i, a) not in entries
-                    entries[(i, a)] = value
-        assert entries == multigraded_betti_formula(n, w).entries
-
-
 SHAPES = [
     (m, s, t)
     for s in range(1, 8)
@@ -395,6 +359,33 @@ SHAPES = [
     for m in range(min(s, t) + 1)
     if (m, s, t) != (1, 1, 1)
 ]
+
+
+def _subset_rule_entries(m, s, t, w):
+    """The shape's table read straight off the induced-subgraph rule: each
+    vertex set W with no isolated vertex gives beta_{i,a} at a = theta(G[W]),
+    k - 1 at i = |W| - 3 when W holds k >= 2 missing pairs, 1 at
+    i = |W| - 2 when it holds none, and nothing when it holds one."""
+    graph = _xy_graph(m, s, t, w)
+    entries = {}
+    for size in range(2, s + t + 1):
+        for subset in itertools.combinations(graph.vertices.names, size):
+            sub = induced_subgraph(graph, subset)
+            if sub.non_isolated() != set(subset):
+                continue
+            pairs = sum(f"x{r}" in subset and f"y{r}" in subset for r in range(1, m + 1))
+            if pairs == 1:
+                continue
+            key = (size - 3 if pairs else size - 2, theta(sub))
+            assert key not in entries
+            entries[key] = pairs - 1 if pairs else 1
+    return entries
+
+
+@pytest.mark.parametrize("m,s,t", [(m, s, t) for m, s, t in SHAPES if s + t <= 7])
+def test_shape_formula_matches_subset_rule(m, s, t):
+    for w in [(1,) * t, tuple(range(t, 0, -1))]:
+        assert shape_betti_formula(m, s, t, w).entries == _subset_rule_entries(m, s, t, w)
 
 
 @pytest.mark.parametrize("m,s,t", SHAPES)

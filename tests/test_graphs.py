@@ -182,6 +182,10 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             induced_subgraph(crown(2, (1, 1)), {"x1", "z9"})
 
+    def test_out_of_range_index_named_in_message(self):
+        with pytest.raises(ValueError, match="not in the graph"):
+            induced_subgraph(crown(3, (1, 1, 1)), {"x1", "y4"})
+
     def test_edge_ideal_restricts_to_supported_generators(self):
         graph = crown(3, (2, 1, 3))
         for size in range(7):
