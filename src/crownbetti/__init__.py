@@ -30,6 +30,7 @@ from .ideals import (
     scale,
 )
 from .graphs import (
+    FAMILIES,
     WeightedOrientedGraph,
     complete_bipartite,
     crown,
@@ -68,7 +69,6 @@ from .render import (
     table_to_json_dict,
 )
 from .formulas import (
-    FAMILIES,
     FamilyTopBetti,
     enumerate_M,
     enumerate_N,

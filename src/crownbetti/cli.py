@@ -18,14 +18,13 @@ from typing import Optional, Sequence
 
 from . import checks
 from .formulas import (
-    FAMILIES,
     family_top_betti,
     multigraded_betti_formula,
     shape_betti_formula,
     shape_entry_count,
     shape_graded_formula,
 )
-from .graphs import WeightedOrientedGraph, crown, edge_ideal
+from .graphs import FAMILIES, WeightedOrientedGraph, _family_shape, _xy_graph, edge_ideal
 from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
 from .multidegree import VariableSet
 from .render import graded_report, report_text, table_to_json_dict
@@ -70,6 +69,17 @@ def _parse_field(text: Optional[str]) -> FieldSpec:
         raise UsageError(str(exc))
 
 
+def _shape(kind: str, params: tuple[int, ...]) -> tuple[int, int, int]:
+    """The shape (m, s, t) of the member of family `kind`, spelled as on the
+    command line, with `params`; params the family does not admit are a
+    usage error."""
+    key = kind.replace("-", "_")
+    try:
+        return _family_shape(key, params)
+    except ValueError as exc:
+        raise UsageError(str(exc).replace(repr(key), repr(kind)))
+
+
 def _emit(table: BettiTable, args) -> None:
     if args.output == "json":
         print(json.dumps(table_to_json_dict(table), sort_keys=True))
@@ -78,19 +88,18 @@ def _emit(table: BettiTable, args) -> None:
 
 
 def cmd_crown(args) -> int:
-    if args.n < 2:
-        raise UsageError(f"crown graph needs n >= 2, got {args.n}")
+    shape = _shape("crown", (args.n,))
     weights = _parse_weights(args.weights, args.n)
     if args.mode == "formula" and args.field is not None:
         raise UsageError("--field sets the oracle's field: --mode formula runs no oracle")
     field = _parse_field(args.field)
     if args.mode == "formula" and args.output == "text" and not args.multigraded:
         # the report shows graded numbers only: count them, list no entry
-        graded = shape_graded_formula(args.n, args.n, args.n, weights)
+        graded = shape_graded_formula(*shape, weights)
         print(graded_report(graded, raw=args.raw), end="")
         return EXIT_OK
     if args.mode in ("formula", "both"):
-        count = shape_entry_count(args.n, args.n, args.n, weights)
+        count = shape_entry_count(*shape, weights)
         if count > MAX_LISTED_ENTRIES:
             raise UsageError(
                 f"the formula table has {count} multigraded entries, above the cap of "
@@ -99,7 +108,7 @@ def cmd_crown(args) -> int:
             )
     oracle = formula = None
     if args.mode in ("oracle", "both"):
-        oracle = multigraded_betti(edge_ideal(crown(args.n, weights)), field)
+        oracle = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
     if args.mode in ("formula", "both"):
         formula = multigraded_betti_formula(args.n, weights)
     if args.mode == "both" and oracle != formula:
@@ -179,31 +188,23 @@ def cmd_graph(args) -> int:
 
 
 def cmd_family(args) -> int:
-    kind = args.kind.replace("-", "_")
-    constructor, arity, shape = FAMILIES[kind]
     try:
         params = tuple(int(p) for p in args.params.split(","))
     except ValueError:
         raise UsageError(f"params must be comma-separated integers, got {args.params!r}")
-    if len(params) != arity:
-        raise UsageError(f"family {args.kind!r} takes {arity} parameter(s)")
-    _, _, n_y = shape(*params)
-    weights = _parse_weights(args.weights, n_y)
+    shape = _shape(args.kind, params)
+    weights = _parse_weights(args.weights, shape[2])
     field = _parse_field(args.field)
     if not args.oracle and (args.field is not None or args.raw or args.multigraded):
         raise UsageError("--field, --raw and --multigraded apply to the oracle table: add --oracle")
-    try:
-        top = family_top_betti(kind, params, weights)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    top = family_top_betti(args.kind.replace("-", "_"), params, weights)
     print(f"pdim: {top.pdim}")
     print(f"top multidegree: {top.top_multidegree}")
     print(f"top value: {top.top_value}")
     if args.oracle:
-        graph = constructor(*params, weights)
-        table = multigraded_betti(edge_ideal(graph), field)
+        table = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
         print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
-        formula = shape_betti_formula(*shape(*params), weights)
+        formula = shape_betti_formula(*shape, weights)
         ok = table == formula
         print(f"table check: {'pass' if ok else 'FAIL'}")
         if not ok:

@@ -14,15 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .graphs import (
-    WeightedOrientedGraph,
-    complete_bipartite,
-    crown,
-    generalized_crown,
-    unbalanced_crown,
-)
+from .graphs import _check_shape, _family_shape
 from .homology import BettiTable
 from .multidegree import Multidegree, _xy_variables, binomial
 
@@ -30,8 +24,7 @@ from .multidegree import Multidegree, _xy_variables, binomial
 def total_betti_closed_form(n: int, i: int) -> int:
     """Total Betti number of the crown edge ideal on n pairs; independent
     of the vertex weights.  Vanishes outside 0 <= i <= 2n - 3."""
-    if n < 2:
-        raise ValueError(f"crown graph needs n >= 2, got {n}")
+    _family_shape("crown", (n,))
     if i < 0:
         return 0
     total = (2 ** (i + 2) - 2) * binomial(n, i + 2)
@@ -41,19 +34,6 @@ def total_betti_closed_form(n: int, i: int) -> int:
             continue
         total += (k - 1) * 2**j * binomial(n, k) * binomial(n - k, j)
     return total
-
-
-def _check_shape(m: int, s: int, t: int, weights: Sequence[int]) -> None:
-    if not (s >= 1 and t >= 1 and 0 <= m <= min(s, t)):
-        raise ValueError(
-            f"a shape needs s, t >= 1 and 0 <= m <= min(s, t), got (m, s, t) = ({m}, {s}, {t})"
-        )
-    if (m, s, t) == (1, 1, 1):
-        raise ValueError("the shape (1, 1, 1) has no edges")
-    if len(weights) != t:
-        raise ValueError(f"expected {t} weights, got {len(weights)}")
-    if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in weights):
-        raise ValueError(f"weights must be positive integers, got {tuple(weights)}")
 
 
 def _selections(
@@ -215,18 +195,6 @@ def _top_entry(pairs: int, size: int) -> tuple[int, int]:
     return (size - 3, pairs - 1) if pairs else (size - 2, 1)
 
 
-# kind -> (graph constructor, number of integer parameters before the weights,
-#          params -> (m, s, t) of the generalized-crown shape it builds)
-FAMILIES: dict[
-    str, tuple[Callable[..., WeightedOrientedGraph], int, Callable[..., tuple[int, int, int]]]
-] = {
-    "crown": (crown, 1, lambda n: (n, n, n)),
-    "unbalanced": (unbalanced_crown, 2, lambda s, t: (t, s, t)),
-    "generalized": (generalized_crown, 3, lambda m, s, t: (m, s, t)),
-    "complete_bipartite": (complete_bipartite, 2, lambda s, t: (0, s, t)),
-}
-
-
 def family_top_betti(
     kind: str, params: Sequence[int], weights: Sequence[int]
 ) -> FamilyTopBetti:
@@ -234,16 +202,11 @@ def family_top_betti(
 
     kind is one of "crown" (param s), "unbalanced" (s, t), "generalized"
     (m, s, t), "complete_bipartite" (s, t).  The generalized family's top
-    value is m - 1.
+    value is m - 1.  It is read off the family's shape; no graph is built.
     """
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown family kind: {kind!r}")
-    constructor, arity, shape = FAMILIES[kind]
-    if len(params) != arity:
-        raise ValueError(f"family {kind!r} takes {arity} parameter(s)")
-    graph = constructor(*params, weights)
-    m, s, t = shape(*params)
+    m, s, t = _family_shape(kind, params)
+    _check_shape(m, s, t, weights)
     index, value = _top_entry(m, s + t)
     # no vertex is isolated, so theta is x_i for i <= s times y_j^{w_j} for j <= t
-    return FamilyTopBetti(index, Multidegree(graph.vertices, (1,) * s + tuple(weights)), value)
+    return FamilyTopBetti(index, Multidegree(_xy_variables(s, t), (1,) * s + tuple(weights)), value)
 

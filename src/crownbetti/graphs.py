@@ -12,7 +12,7 @@ renaming; its missing pairs are the pairs {xr, yr}, r <= m, that it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .ideals import MonomialIdeal, minimalize
 from .multidegree import Multidegree, VariableSet, _xy_variables, lcm_of
@@ -67,12 +67,24 @@ def edge_ideal(graph: WeightedOrientedGraph) -> MonomialIdeal:
     return minimalize(graph.vertices, gens)
 
 
+def _check_shape(m: int, s: int, t: int, weights: Sequence[int]) -> None:
+    if not (s >= 1 and t >= 1 and 0 <= m <= min(s, t)):
+        raise ValueError(
+            f"a shape needs s, t >= 1 and 0 <= m <= min(s, t), got (m, s, t) = ({m}, {s}, {t})"
+        )
+    if (m, s, t) == (1, 1, 1):
+        raise ValueError("the shape (1, 1, 1) has no edges")
+    if len(weights) != t:
+        raise ValueError(f"expected {t} weights, got {len(weights)}")
+    if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in weights):
+        raise ValueError(f"weights must be positive integers, got {tuple(weights)}")
+
+
 def _xy_graph(m: int, s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """The shape (m, s, t): the graph on x1..xs, y1..yt with every edge
     (xi, yj) except the m missing pairs (xr, yr), r <= m; weights are
     those of y1..yt."""
-    if len(weights) != t:
-        raise ValueError(f"expected {t} weights, got {len(weights)}")
+    _check_shape(m, s, t, weights)
     vertices = _xy_variables(s, t)
     xs, ys = vertices.names[:s], vertices.names[s:]
     edges = frozenset(
@@ -81,39 +93,62 @@ def _xy_graph(m: int, s: int, t: int, weights: Sequence[int]) -> WeightedOriente
     return WeightedOrientedGraph(vertices, edges, dict(zip(ys, weights)))
 
 
+# kind -> (whether the family admits its params, the message when it does
+# not, params -> the shape (m, s, t) of the member)
+FAMILIES: dict[str, tuple[Callable[..., bool], str, Callable[..., tuple[int, int, int]]]] = {
+    "crown": (lambda n: n >= 2, "crown graph needs n >= 2, got {}", lambda n: (n, n, n)),
+    "unbalanced": (
+        lambda s, t: 1 < t < s,
+        "unbalanced crown needs 1 < t < s, got (s, t) = ({}, {})",
+        lambda s, t: (t, s, t),
+    ),
+    # the m = t corner is not admitted; that shape is reachable as an
+    # induced subgraph of a crown graph instead
+    "generalized": (
+        lambda m, s, t: 1 < m < s and m < t,
+        "generalized crown needs 1 < m < s and m < t, got (m, s, t) = ({}, {}, {})",
+        lambda m, s, t: (m, s, t),
+    ),
+    "complete_bipartite": (
+        lambda s, t: s >= 1 and t >= 1,
+        "complete bipartite needs s, t >= 1, got ({}, {})",
+        lambda s, t: (0, s, t),
+    ),
+}
+
+
+def _family_shape(kind: str, params: Sequence[int]) -> tuple[int, int, int]:
+    """The shape (m, s, t) of the member of family `kind` with `params`."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family kind: {kind!r}")
+    admits, message, shape = FAMILIES[kind]
+    arity = shape.__code__.co_argcount
+    if len(params) != arity:
+        raise ValueError(f"family {kind!r} takes {arity} parameter(s)")
+    if not admits(*params):
+        raise ValueError(message.format(*params))
+    return shape(*params)
+
+
 def crown(n: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """Crown graph on x1..xn, y1..yn: every edge (xi, yj) with i != j."""
-    if n < 2:
-        raise ValueError(f"crown graph needs n >= 2, got {n}")
-    return _xy_graph(n, n, n, weights)
+    return _xy_graph(*_family_shape("crown", (n,)), weights)
 
 
 def unbalanced_crown(s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """Unbalanced crown on x1..xs, y1..yt with 1 < t < s: edges (xi, yj), i != j."""
-    if not (1 < t < s):
-        raise ValueError(f"unbalanced crown needs 1 < t < s, got (s, t) = ({s}, {t})")
-    return _xy_graph(t, s, t, weights)
+    return _xy_graph(*_family_shape("unbalanced", (s, t)), weights)
 
 
 def generalized_crown(m: int, s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """Generalized crown on x1..xs, y1..yt: x1..xm miss their partner yi,
-    while x_{m+1}..xs are joined to every yj.  Requires 1 < m < s and m < t.
-
-    The m = t corner is not admitted; that shape is reachable as an induced
-    subgraph of a crown graph instead.
-    """
-    if not (1 < m < s and m < t):
-        raise ValueError(
-            f"generalized crown needs 1 < m < s and m < t, got (m, s, t) = ({m}, {s}, {t})"
-        )
-    return _xy_graph(m, s, t, weights)
+    while x_{m+1}..xs are joined to every yj.  Requires 1 < m < s and m < t."""
+    return _xy_graph(*_family_shape("generalized", (m, s, t)), weights)
 
 
 def complete_bipartite(s: int, t: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """Complete bipartite graph on x1..xs, y1..yt, all edges oriented x -> y."""
-    if s < 1 or t < 1:
-        raise ValueError(f"complete bipartite needs s, t >= 1, got ({s}, {t})")
-    return _xy_graph(0, s, t, weights)
+    return _xy_graph(*_family_shape("complete_bipartite", (s, t)), weights)
 
 
 def induced_subgraph(

@@ -333,6 +333,22 @@ class TestFamilyCommand:
         last = err.splitlines()[-1]
         assert last.startswith(("error:", "crownbetti: error: unrecognized arguments:"))
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("family", "crown", "--params", "-1", "--weights", "1"),
+             "crown graph needs n >= 2, got -1"),
+            (("family", "unbalanced", "--params", "2,5", "--weights", "1,1"),
+             "unbalanced crown needs 1 < t < s, got (s, t) = (2, 5)"),
+            (("family", "complete-bipartite", "--params", "2", "--weights", "1,1"),
+             "family 'complete-bipartite' takes 2 parameter(s)"),
+        ],
+        ids=["crown", "unbalanced", "arity"],
+    )
+    def test_params_checked_before_weights(self, capsys, argv, message):
+        # the family's rule names the bad params before any weight count is read
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
 
 class TestFieldOption:
     # --field picks the oracle's field: it is refused where no oracle runs,

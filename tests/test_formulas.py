@@ -344,6 +344,25 @@ class TestFamilyTopBetti:
         with pytest.raises(ValueError):
             family_top_betti("unbalanced", (3,), (1, 1, 1))
 
+    def test_builds_no_graph(self, monkeypatch):
+        import crownbetti.graphs as graphs_module
+
+        cases = [
+            ("crown", (3,), (2, 1, 3), crown),
+            ("unbalanced", (4, 3), (1, 2, 1), unbalanced_crown),
+            ("generalized", (2, 4, 3), (3, 1, 2), generalized_crown),
+            ("complete_bipartite", (2, 3), (1, 4, 1), complete_bipartite),
+        ]
+        expected = [theta(build(*params, w)) for _, params, w, build in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("family_top_betti built a graph")
+
+        monkeypatch.setattr(graphs_module, "WeightedOrientedGraph", refuse)
+        tops = [family_top_betti(kind, params, w) for kind, params, w, _ in cases]
+        assert [top.top_multidegree for top in tops] == expected
+        assert [(top.pdim, top.top_value) for top in tops] == [(3, 2), (4, 2), (4, 1), (3, 1)]
+
     def test_large_family_read_off_the_shape(self):
         start = time.perf_counter()
         top = family_top_betti("complete_bipartite", (300, 300), (1,) * 300)

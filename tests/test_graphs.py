@@ -8,6 +8,7 @@ from crownbetti import (
     complete_bipartite,
     crown,
     edge_ideal,
+    family_top_betti,
     generalized_crown,
     induced_subgraph,
     theta,
@@ -159,9 +160,14 @@ def test_constructors_match_reference_definitions(kind):
                 with pytest.raises(ValueError) as info:
                     constructor(*params, weights)
                 assert str(info.value) == expected
+                # the top data, read off the shape, refuses the same input alike
+                with pytest.raises(ValueError) as info:
+                    family_top_betti(kind, params, weights)
+                assert str(info.value) == expected
                 continue
             graph = constructor(*params, weights)
             assert (graph.vertices.names, set(graph.edges), graph.weights) == expected
+            assert family_top_betti(kind, params, weights).top_multidegree == theta(graph)
 
 
 class TestInducedSubgraph:
