@@ -24,7 +24,14 @@ from .formulas import (
     shape_entry_count,
     shape_graded_formula,
 )
-from .graphs import FAMILIES, WeightedOrientedGraph, _family_shape, _xy_graph, edge_ideal
+from .graphs import (
+    FAMILIES,
+    WeightedOrientedGraph,
+    _check_shape,
+    _family_shape,
+    _xy_graph,
+    edge_ideal,
+)
 from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
 from .multidegree import VariableSet
 from .render import graded_report, report_text, table_to_json_dict
@@ -49,14 +56,9 @@ def _parse_weights(text: Optional[str], n: int) -> tuple[int, ...]:
     if text is None:
         return (1,) * n
     try:
-        weights = tuple(int(w) for w in text.split(","))
+        return tuple(int(w) for w in text.split(","))
     except ValueError:
         raise UsageError(f"weights must be comma-separated integers, got {text!r}")
-    if len(weights) != n:
-        raise UsageError(f"expected {n} weights, got {len(weights)}")
-    if any(w < 1 for w in weights):
-        raise UsageError("weights must be positive")
-    return weights
 
 
 def _parse_field(text: Optional[str]) -> FieldSpec:
@@ -69,15 +71,22 @@ def _parse_field(text: Optional[str]) -> FieldSpec:
         raise UsageError(str(exc))
 
 
-def _shape(kind: str, params: tuple[int, ...]) -> tuple[int, int, int]:
+def _shape(
+    kind: str, params: tuple[int, ...], weights: Optional[str]
+) -> tuple[tuple[int, int, int], tuple[int, ...]]:
     """The shape (m, s, t) of the member of family `kind`, spelled as on the
-    command line, with `params`; params the family does not admit are a
+    command line, with `params`, and its y-weights parsed from `weights`
+    (default all 1).  The params are checked before the weights are read;
+    params the family does not admit, or weights its shape does not, are a
     usage error."""
     key = kind.replace("-", "_")
     try:
-        return _family_shape(key, params)
+        shape = _family_shape(key, params)
+        parsed = _parse_weights(weights, shape[2])
+        _check_shape(*shape, parsed)
     except ValueError as exc:
         raise UsageError(str(exc).replace(repr(key), repr(kind)))
+    return shape, parsed
 
 
 def _emit(table: BettiTable, args) -> None:
@@ -88,8 +97,7 @@ def _emit(table: BettiTable, args) -> None:
 
 
 def cmd_crown(args) -> int:
-    shape = _shape("crown", (args.n,))
-    weights = _parse_weights(args.weights, args.n)
+    shape, weights = _shape("crown", (args.n,), args.weights)
     if args.mode == "formula" and args.field is not None:
         raise UsageError("--field sets the oracle's field: --mode formula runs no oracle")
     field = _parse_field(args.field)
@@ -192,8 +200,7 @@ def cmd_family(args) -> int:
         params = tuple(int(p) for p in args.params.split(","))
     except ValueError:
         raise UsageError(f"params must be comma-separated integers, got {args.params!r}")
-    shape = _shape(args.kind, params)
-    weights = _parse_weights(args.weights, shape[2])
+    shape, weights = _shape(args.kind, params, args.weights)
     field = _parse_field(args.field)
     if not args.oracle and (args.field is not None or args.raw or args.multigraded):
         raise UsageError("--field, --raw and --multigraded apply to the oracle table: add --oracle")
@@ -228,15 +235,16 @@ def cmd_verify(args) -> int:
     lo, hi = _parse_range(args.n)
     if hi > 6:
         raise UsageError(f"oracle verification is guarded at n <= 6, got {hi}")
-    if not 2 <= lo <= hi:
-        raise UsageError(f"bad range {args.n!r}: crown sizes need 2 <= LO <= HI")
+    _shape("crown", (lo,), None)
+    if lo > hi:
+        raise UsageError(f"bad range {args.n!r}: need LO <= HI")
     if args.n_max < 2:
         raise UsageError(f"the identity check needs --n-max >= 2, got {args.n_max}")
     # every weight row is parsed for every n before any check runs
     matrices = {
         n: checks.default_weight_matrix(n)
         if args.weights == "default"
-        else [_parse_weights(row, n) for row in args.weights.split(";")]
+        else [_shape("crown", (n,), row)[1] for row in args.weights.split(";")]
         for n in range(lo, hi + 1)
     }
     results: list[tuple[str, list[str]]] = []
@@ -313,6 +321,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None) == "json" and args.raw:
+            raise UsageError("--raw applies to the text report, not to --output json")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -163,17 +163,17 @@ def shape_entry_count(m: int, s: int, t: int, weights: Sequence[int]) -> int:
 
 def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:
     """Predicted multigraded Betti table of the crown edge ideal."""
-    return shape_betti_formula(n, n, n, weights)
+    return shape_betti_formula(*_family_shape("crown", (n,)), weights)
 
 
 def graded_betti_formula(n: int, weights: Sequence[int], i: int, j: int) -> int:
     """Predicted graded Betti number beta_{i,j} of the crown edge ideal."""
-    return shape_graded_formula(n, n, n, weights).get((i, j), 0)
+    return shape_graded_formula(*_family_shape("crown", (n,)), weights).get((i, j), 0)
 
 
 def regularity_formula(n: int, weights: Sequence[int]) -> int:
     """Regularity of the crown edge ideal: sum of weights - n + 3."""
-    _check_shape(n, n, n, weights)
+    _check_shape(*_family_shape("crown", (n,)), weights)
     return sum(weights) - n + 3
 
 

@@ -9,26 +9,17 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphs import crown, edge_ideal, induced_subgraph
+from .graphs import _family_shape, crown, edge_ideal
 from .homology import BettiTable, FieldSpec, multigraded_betti
 from .ideals import (
     MonomialIdeal,
     colon_by_monomial,
     ideal_intersect,
     ideal_product,
-    ideal_sum,
     is_dominant,
     minimalize,
-    scale,
 )
-from .multidegree import (
-    Multidegree,
-    binomial,
-    divides,
-    lcm_of,
-    quotient,
-    xy_variables,
-)
+from .multidegree import Multidegree, binomial, divides, lcm_of, quotient
 
 
 def taylor_betti_dominant(ideal: MonomialIdeal) -> BettiTable:
@@ -183,8 +174,7 @@ def mapping_cone_upper_bound(n: int, i: int) -> int:
     (n-1)*C(2n-4, i-1) + bound(n-1, i-1).  Base case: the complete
     intersection I_2.
     """
-    if n < 2:
-        raise ValueError(f"crown bound needs n >= 2, got {n}")
+    _family_shape("crown", (n,))
     if i < 0:
         return 0
     if n == 2:
@@ -209,34 +199,18 @@ class CrownColonComponents:
     c: MonomialIdeal
 
 
-def _crown_without_last_pair(n: int, weights: Sequence[int]) -> MonomialIdeal:
-    """I_{n-1}: the edge ideal of the crown on the first n - 1 pairs, inside
-    the 2n-variable ring of the crown graph on n pairs."""
-    first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
-    return edge_ideal(induced_subgraph(crown(n, weights), first_pairs))
-
-
 def crown_splitting(
     n: int, weights: Sequence[int]
 ) -> tuple[MonomialIdeal, MonomialIdeal]:
     """The parts (J, K) of the standard splitting I_n = J + K of the crown
     edge ideal: J = I_{n-1} + x_n*A and K = y_n^{w_n}*B, where
-    A = (y_1^{w_1}, ..., y_{n-1}^{w_{n-1}}) and B = (x_1, ..., x_{n-1})."""
-    if n < 2:
-        raise ValueError(f"crown splitting needs n >= 2, got {n}")
-    variables = xy_variables(n)
-    a_part = minimalize(
-        variables,
-        [variables.variable(f"y{j}", weights[j - 1]) for j in range(1, n)],
-    )
-    b_part = minimalize(
-        variables, [variables.variable(f"x{i}") for i in range(1, n)]
-    )
-    j_part = ideal_sum(
-        _crown_without_last_pair(n, weights), scale(variables.variable(f"x{n}"), a_part)
-    )
-    k_part = scale(variables.variable(f"y{n}", weights[n - 1]), b_part)
-    return j_part, k_part
+    A = (y_1^{w_1}, ..., y_{n-1}^{w_{n-1}}) and B = (x_1, ..., x_{n-1}).
+    K holds the generators x_i*y_n^{w_n} that y_n divides; J holds the rest."""
+    ideal = edge_ideal(crown(n, weights))
+    y_n = ideal.variables.index(f"y{n}")
+    j_gens = [g for g in ideal.generators if not g.exponents[y_n]]
+    k_gens = [g for g in ideal.generators if g.exponents[y_n]]
+    return minimalize(ideal.variables, j_gens), minimalize(ideal.variables, k_gens)
 
 
 def crowncolon_components(
@@ -251,8 +225,11 @@ def crowncolon_components(
     """
     if not (1 <= s <= n - 1):
         raise ValueError(f"need 1 <= s <= n - 1, got s = {s} for n = {n}")
-    variables = xy_variables(n)
-    sub = _crown_without_last_pair(n, weights)
+    ideal = edge_ideal(crown(n, weights))
+    variables = ideal.variables
+    last_pair = (variables.index(f"x{n}"), variables.index(f"y{n}"))
+    # I_{n-1}: the generators that touch neither x_n nor y_n
+    sub = tuple(g for g in ideal.generators if not any(g.exponents[k] for k in last_pair))
 
     def link(r: int) -> Multidegree:
         return (
@@ -263,7 +240,7 @@ def crowncolon_components(
 
     def q_ideal(upto: int) -> MonomialIdeal:
         extra = [link(r) for r in range(1, upto + 1)]
-        return minimalize(variables, sub.generators + tuple(extra))
+        return minimalize(variables, sub + tuple(extra))
 
     p = colon_by_monomial(q_ideal(s - 1), link(s))
     expected = minimalize(

@@ -155,11 +155,12 @@ class TestCrownCommand:
             ("crown", "--n", "2", "--field", "4"),
             ("crown", "--n", "2", "--field", "18446744073709551629"),
             ("crown", "--n", "3", "--mode", "formula", "--field", "2"),
+            ("crown", "--n", "3", "--output", "json", "--raw"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:")
 
     def test_large_prime_field(self, capsys):
@@ -233,6 +234,13 @@ class TestGraphCommand:
         code, _, err = run(capsys, "graph", path)
         assert code == EXIT_USAGE
         assert "no edges" in err
+
+    def test_raw_with_json_output_exits_2(self, capsys, tmp_path):
+        # --raw shapes the text report only; JSON output does not take it
+        path = self.write_doc(tmp_path, {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+        code, out, err = run(capsys, "graph", path, "--output", "json", "--raw")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize(
         "payload",
@@ -473,12 +481,29 @@ class TestVerifyCommand:
             ("verify", "--n", "junk"),
             ("verify", "--n", "5..3"),
             ("verify", "--n-max", "1"),
+            ("verify", "--n", "3..2"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("crown", "--n", "3", "--weights", "0,1,1"),
+         "weights must be positive integers, got (0, 1, 1)"),
+        (("family", "crown", "--params", "3", "--weights", "1,-1,1"),
+         "weights must be positive integers, got (1, -1, 1)"),
+        (("verify", "--n", "1..3"), "crown graph needs n >= 2, got 1"),
+    ],
+    ids=["crown-weights", "family-weights", "verify-range"],
+)
+def test_shape_rule_messages(capsys, argv, message):
+    # the crown rule and the weight rule are read from graphs, message and all
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 class TestJsonSchema:

@@ -8,6 +8,7 @@ from crownbetti import (
     binomial,
     complete_bipartite,
     crown,
+    crown_splitting,
     edge_ideal,
     enumerate_M,
     enumerate_N,
@@ -296,6 +297,28 @@ class TestCrownArguments:
     def test_invalid_arguments_rejected(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            crown,
+            multigraded_betti_formula,
+            lambda n, w: graded_betti_formula(n, w, 0, 2),
+            regularity_formula,
+            lambda n, w: total_betti_closed_form(n, 0),
+            crown_splitting,
+            lambda n, w: mapping_cone_upper_bound(n, 0),
+        ],
+        ids=[
+            "crown", "multigraded", "graded", "regularity", "total", "splitting", "bound",
+        ],
+    )
+    def test_crown_rule_has_one_message(self, call, n):
+        # every crown entry point refuses a bad n through the one crown rule
+        with pytest.raises(ValueError) as exc:
+            call(n, (1,) * max(n, 0))
+        assert str(exc.value) == f"crown graph needs n >= 2, got {n}"
 
 
 class TestRegularityFormula:

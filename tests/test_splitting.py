@@ -8,12 +8,14 @@ from crownbetti import (
     betti_product_disjoint,
     betti_sum_disjoint,
     check_splitting_lemma_hypotheses,
+    checks,
     crown,
     crown_splitting,
     crowncolon_components,
     edge_ideal,
     ideal_product,
     ideal_sum,
+    induced_subgraph,
     is_dominant,
     mapping_cone_upper_bound,
     minimalize,
@@ -334,10 +336,18 @@ class TestCrownSplitting:
         assert gens_j | gens_k == set(edge_ideal(crown(n, w)).generators)
 
     def test_k_part_is_scaled_x_ideal(self):
-        vs = xy_variables(3)
-        _, k_part = crown_splitting(3, (1, 1, 2))
-        expected = scale(vs.variable("y3", 2), minimalize(vs, [vs.variable("x1"), vs.variable("x2")]))
-        assert k_part == expected
+        # the paper's definition, built by hand: J = I_{n-1} + x_n*A and
+        # K = y_n^{w_n}*B with A = (y_r^{w_r}) and B = (x_r) over r < n
+        for n in range(2, 7):
+            vs = xy_variables(n)
+            for w in checks.default_weight_matrix(n):
+                first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
+                sub = edge_ideal(induced_subgraph(crown(n, w), first_pairs))
+                a_part = minimalize(vs, [vs.variable(f"y{r}", w[r - 1]) for r in range(1, n)])
+                b_part = minimalize(vs, [vs.variable(f"x{r}") for r in range(1, n)])
+                j_part, k_part = crown_splitting(n, w)
+                assert j_part == ideal_sum(sub, scale(vs.variable(f"x{n}"), a_part))
+                assert k_part == scale(vs.variable(f"y{n}", w[n - 1]), b_part)
 
 
 class TestCrownColon:
