@@ -66,7 +66,11 @@ def _parse_field(text: Optional[str]) -> FieldSpec:
     if text is None:
         return FieldSpec()
     try:
-        return FieldSpec(int(text))
+        characteristic = int(text)
+    except ValueError:
+        raise UsageError(f"field must be an integer, got {text!r}")
+    try:
+        return FieldSpec(characteristic)
     except ValueError as exc:
         raise UsageError(str(exc))
 

@@ -407,12 +407,25 @@ def _boundary(mask: int) -> dict[int, int]:
     return col
 
 
+def _graded_summary(graded: dict[tuple[int, int], int]) -> tuple[int, int, list[int]]:
+    """pdim, regularity and the total Betti numbers b_0..b_pdim, read off
+    the graded Betti numbers."""
+    if not graded:
+        raise ValueError("no graded Betti numbers")
+    pdim = max(i for i, _ in graded)
+    totals = [0] * (pdim + 1)
+    for (i, _), c in graded.items():
+        totals[i] += c
+    return pdim, max(j - i for i, j in graded), totals
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Multigraded Betti numbers: (homological index, multidegree) -> count.
 
-    Zero entries are never stored.  Aggregations to graded and total Betti
-    numbers, projective dimension and regularity live here.
+    Zero entries are never stored.  graded() aggregates by total degree;
+    pdim, regularity and the total Betti numbers are read off those graded
+    numbers by _graded_summary, the same rule the text and JSON reports use.
     """
 
     variables: VariableSet
@@ -438,7 +451,8 @@ class BettiTable:
 
     def graded(self) -> dict[tuple[int, int], int]:
         """Graded Betti numbers beta_{i,j}, aggregating by total degree."""
-        self._require_nonempty()
+        if not self.entries:
+            raise ValueError("empty Betti table")
         out: dict[tuple[int, int], int] = {}
         for (i, a), c in self.entries.items():
             key = (i, a.degree())
@@ -446,23 +460,16 @@ class BettiTable:
         return out
 
     def total(self) -> dict[int, int]:
-        self._require_nonempty()
-        out: dict[int, int] = {}
-        for (i, _), c in self.entries.items():
-            out[i] = out.get(i, 0) + c
-        return out
+        return {i: b for i, b in enumerate(self.total_sequence()) if b}
 
     def total_sequence(self) -> list[int]:
-        t = self.total()
-        return [t.get(i, 0) for i in range(max(t) + 1)]
+        return _graded_summary(self.graded())[2]
 
     def pdim(self) -> int:
-        self._require_nonempty()
-        return max(i for i, _ in self.entries)
+        return _graded_summary(self.graded())[0]
 
     def regularity(self) -> int:
-        self._require_nonempty()
-        return max(a.degree() - i for (i, a) in self.entries)
+        return _graded_summary(self.graded())[1]
 
     def quotient_shifted(self) -> BettiTable:
         """Presentation as Betti numbers of R/I: the index shifts up by one.
@@ -473,10 +480,6 @@ class BettiTable:
         return BettiTable(
             self.variables, {(i + 1, a): c for (i, a), c in self.entries.items()}
         )
-
-    def _require_nonempty(self) -> None:
-        if not self.entries:
-            raise ValueError("empty Betti table")
 
 
 def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> BettiTable:

@@ -3,26 +3,16 @@ numbers.
 
 The Betti diagram follows the Macaulay2 convention: column i is the
 homological index, row r collects the graded entries with j - i = r.
+The pdim, reg and total lines come from homology._graded_summary, the
+rule BettiTable's own aggregates read.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .homology import BettiTable
+from .homology import BettiTable, _graded_summary
 from .multidegree import Multidegree
-
-
-def _graded_summary(graded: dict[tuple[int, int], int]) -> tuple[int, int, list[int]]:
-    """pdim, regularity and the total Betti numbers b_0..b_pdim, read off
-    the graded Betti numbers."""
-    if not graded:
-        raise ValueError("no graded Betti numbers")
-    pdim = max(i for i, _ in graded)
-    totals = [0] * (pdim + 1)
-    for (i, _), c in graded.items():
-        totals[i] += c
-    return pdim, max(j - i for i, j in graded), totals
 
 
 def betti_diagram(graded: dict[tuple[int, int], int]) -> str:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -163,7 +162,6 @@ def betti_sum_disjoint(ti: BettiTable, tj: BettiTable) -> BettiTable:
     return BettiTable(ti.variables, entries)
 
 
-@lru_cache(maxsize=None)
 def mapping_cone_upper_bound(n: int, i: int) -> int:
     """Recursive upper bound on the i-th total Betti number of the crown
     edge ideal, from the mapping cone over the splitting
@@ -172,21 +170,22 @@ def mapping_cone_upper_bound(n: int, i: int) -> int:
     The two complete intersections A and B each contribute C(n-1, i+1);
     the colon chain bounds the intersection part by
     (n-1)*C(2n-4, i-1) + bound(n-1, i-1).  Base case: the complete
-    intersection I_2.
+    intersection I_2.  The recursion is evaluated bottom-up over n, one
+    row of indices 0..i at a time.
     """
     _family_shape("crown", (n,))
     if i < 0:
         return 0
-    if n == 2:
-        return {0: 2, 1: 1}.get(i, 0)
-    if i == 0:
-        return n * (n - 1)
-    return (
-        mapping_cone_upper_bound(n - 1, i)
-        + 2 * mapping_cone_upper_bound(n - 1, i - 1)
-        + 2 * binomial(n - 1, i + 1)
-        + (n - 1) * binomial(2 * n - 4, i - 1)
-    )
+    row = [{0: 2, 1: 1}.get(k, 0) for k in range(i + 1)]
+    for m in range(3, n + 1):
+        row = [
+            row[k]
+            + 2 * (row[k - 1] if k else 0)
+            + 2 * binomial(m - 1, k + 1)
+            + (m - 1) * binomial(2 * m - 4, k - 1)
+            for k in range(i + 1)
+        ]
+    return row[i]
 
 
 @dataclass(frozen=True)

@@ -434,6 +434,19 @@ class TestFieldOption:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_OK and err == ""
 
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (("crown", "--n", "3", "--field", "junk"), "junk"),
+            (("family", "crown", "--params", "3", "--oracle", "--field", "2.5"), "2.5"),
+            (("verify", "--n", "2", "--field", "junk"), "junk"),
+        ],
+    )
+    def test_non_integer_field_exits_2(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: field must be an integer, got '{text}'\n"
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):

@@ -18,6 +18,7 @@ from crownbetti import (
     multigraded_betti,
     reduced_homology_ranks,
     scale,
+    table_to_json_dict,
     theta,
     upper_koszul_complex,
     xy_variables,
@@ -39,6 +40,13 @@ V4 = VariableSet(("a", "b", "c", "d"))
 ideals4 = st.lists(
     st.tuples(*[st.integers(0, 3)] * 4).filter(any), min_size=1, max_size=5
 ).map(lambda gens: minimalize(V4, [V4.monomial(g) for g in gens]))
+# Betti tables over V4: indices 0..5 (gaps allowed), counts 1..3
+tables4 = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.tuples(*[st.integers(0, 3)] * 4).map(V4.monomial)),
+    st.integers(1, 3),
+    min_size=1,
+    max_size=12,
+).map(lambda entries: BettiTable(V4, entries))
 
 
 class TestUpperKoszul:
@@ -247,9 +255,25 @@ class TestAggregation:
 
     def test_empty_table_aggregations_rejected(self):
         table = BettiTable(V, {})
-        for op in (table.graded, table.total, table.pdim, table.regularity):
-            with pytest.raises(ValueError):
+        for op in (table.graded, table.total, table.total_sequence, table.pdim, table.regularity):
+            with pytest.raises(ValueError, match="empty Betti table"):
                 op()
+
+    @given(tables4)
+    @settings(max_examples=60, deadline=None)
+    def test_aggregates_match_definitions_and_report(self, table):
+        pdim = max(i for i, _ in table.entries)
+        totals = [sum(c for (i, _), c in table.entries.items() if i == k) for k in range(pdim + 1)]
+        assert table.pdim() == pdim
+        assert table.regularity() == max(a.degree() - i for i, a in table.entries)
+        assert table.total_sequence() == totals
+        assert table.total() == {i: b for i, b in enumerate(totals) if b}
+        report = table_to_json_dict(table)
+        assert (report["pdim"], report["reg"], report["total"]) == (
+            table.pdim(),
+            table.regularity(),
+            table.total_sequence(),
+        )
 
     def test_quotient_shift(self):
         table = multigraded_betti(I_XX_XY)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -325,6 +326,26 @@ class TestMappingConeBound:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             mapping_cone_upper_bound(1, 0)
+
+    def test_equals_recursive_definition(self):
+        @functools.lru_cache(maxsize=None)
+        def bound(n, i):
+            if i < 0:
+                return 0
+            if n == 2:
+                return {0: 2, 1: 1}.get(i, 0)
+            return (
+                bound(n - 1, i)
+                + 2 * bound(n - 1, i - 1)
+                + 2 * binomial(n - 1, i + 1)
+                + (n - 1) * binomial(2 * n - 4, i - 1)
+            )
+        for n in range(2, 25):
+            for i in range(-1, 2 * n):
+                assert mapping_cone_upper_bound(n, i) == bound(n, i)
+
+    def test_large_n_without_recursion(self):
+        assert mapping_cone_upper_bound(1500, 3) >= total_betti_closed_form(1500, 3)
 
 
 class TestCrownSplitting:
