@@ -49,21 +49,14 @@ from .homology import (
     upper_koszul_complex,
 )
 from .splitting import (
-    CrownColonComponents,
-    betti_product_disjoint,
-    betti_sum_disjoint,
     check_splitting_lemma_hypotheses,
     crown_splitting,
-    crowncolon_components,
     mapping_cone_upper_bound,
     taylor_betti_dominant,
     verify_betti_splitting,
 )
 from .render import (
-    betti_diagram,
     graded_report,
-    multigraded_lines,
-    raw_graded_lines,
     report_text,
     table_from_json_dict,
     table_to_json_dict,

@@ -7,6 +7,8 @@ tests are both built on these.
 Tables are compared whole, by ``BettiTable.differences``: oracle against
 closed form, I against J + K + shifted J ∩ K, and each induced subgraph
 G[W] against the full table restricted to the entries supported in W.
+The colon chain behind the mapping-cone bound is checked by ideal
+arithmetic alone.
 """
 
 from __future__ import annotations
@@ -17,8 +19,14 @@ from typing import Sequence
 from .formulas import multigraded_betti_formula, regularity_formula, total_betti_closed_form
 from .graphs import crown, edge_ideal, induced_subgraph
 from .homology import BettiTable, FieldSpec, multigraded_betti
-from .multidegree import binomial
-from .splitting import _splitting_tables, crown_splitting, splitting_violation
+from .ideals import colon_by_monomial, ideal_intersect, minimalize, scale
+from .multidegree import Multidegree, binomial, divides
+from .splitting import (
+    _splitting_tables,
+    crown_splitting,
+    mapping_cone_upper_bound,
+    splitting_violation,
+)
 
 
 def check_formula_vs_oracle(
@@ -99,6 +107,42 @@ def check_crown_splitting(
         t_j.regularity(), t_k.regularity(), t_meet.regularity() - 1
     ):
         failures.append(f"reg max-formula fails for I_{n}")
+    return failures
+
+
+def check_colon_chain(n: int, weights: Sequence[int]) -> list[str]:
+    """The colon chain behind mapping_cone_upper_bound, by ideal arithmetic.
+
+    With Q_0 = I_{n-1} and Q_s = Q_{s-1} + (x_n*x_s*y_s^{w_s}) for s < n,
+    each Q_{s-1} : x_n*x_s*y_s^{w_s} is the complete intersection on x_r
+    and y_r^{w_r} (r < n, r != s), the splitting's J ∩ K is
+    y_n^{w_n}*Q_{n-1}, and the bound is at least the closed-form total
+    beta_i for 0 <= i <= 2n - 3."""
+    j_ideal, k_ideal = crown_splitting(n, weights)
+    variables = j_ideal.variables
+
+    def pair(r: int) -> tuple[Multidegree, Multidegree]:
+        return variables.variable(f"x{r}"), variables.variable(f"y{r}", weights[r - 1])
+
+    x_n, y_n = pair(n)
+    # Q_0 = I_{n-1}: the generators of J that x_n does not divide
+    q = minimalize(variables, [g for g in j_ideal.generators if not divides(x_n, g)])
+    failures = []
+    for s in range(1, n):
+        x_s, y_s = pair(s)
+        link = x_n * x_s * y_s
+        colon = colon_by_monomial(q, link)
+        expected = minimalize(variables, [v for r in range(1, n) if r != s for v in pair(r)])
+        if colon != expected:
+            failures.append(f"Q_{s - 1} : {link} = {colon}, expected {expected}")
+        q = minimalize(variables, q.generators + (link,))
+    meet = ideal_intersect(j_ideal, k_ideal)
+    if meet != scale(y_n, q):
+        failures.append(f"J ∩ K = {meet}, expected {y_n} * {q}")
+    for i in range(2 * n - 2):
+        bound, total = mapping_cone_upper_bound(n, i), total_betti_closed_form(n, i)
+        if bound < total:
+            failures.append(f"mapping-cone bound {bound} < closed-form beta_{i} = {total}")
     return failures
 
 

@@ -140,19 +140,30 @@ def _report_mismatch(oracle: BettiTable, formula: BettiTable) -> int:
     return EXIT_MISMATCH
 
 
+def _first_repeat(items):
+    """The first item equal to an earlier one (None if none is), in one pass."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 def load_graph_document(path: str) -> WeightedOrientedGraph:
     """Parse a graph interchange document.
 
     Schema: {"vertices": [label, ...], "edges": [[tail, head], ...],
     "weights": {vertex: positive integer, ...}}; labels are strings, weights default to 1,
-    no other key is allowed and no key or edge may repeat.
+    no other key is allowed and no key or edge may repeat.  A file that is
+    not UTF-8 JSON, nests deeper than the parser recurses, or holds an
+    integer too long to convert, is refused.
     """
 
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
-            keys = [k for k, _ in pairs]
-            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            repeated = _first_repeat(k for k, _ in pairs)
             raise UsageError(f"{path}: key {repeated!r} is given more than once")
         return obj
 
@@ -163,6 +174,10 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise UsageError(f"{path}: {exc}")
+    except RecursionError:
+        raise UsageError(f"{path}: the document nests too deeply to parse")
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
     unknown = sorted(set(data) - {"vertices", "edges", "weights"})
@@ -177,8 +192,8 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
         raise UsageError(f"{path}: vertex labels and edge endpoints must be strings")
     edge_set = frozenset(map(tuple, edges))
     if len(edge_set) < len(edges):
-        repeated = next(e for k, e in enumerate(edges) if e in edges[:k])
-        raise UsageError(f"{path}: edge {repeated} is listed more than once")
+        repeated = _first_repeat(map(tuple, edges))
+        raise UsageError(f"{path}: edge {list(repeated)} is listed more than once")
     weights = data.get("weights", {})
     if not isinstance(weights, dict):
         raise UsageError(f"{path}: weights must be an object")
@@ -262,6 +277,7 @@ def cmd_verify(args) -> int:
                 results.append(
                     (f"crown-splitting {label}", checks.check_crown_splitting(n, weights, field))
                 )
+                results.append((f"colon-chain {label}", checks.check_colon_chain(n, weights)))
         results.append((f"restriction n={n}", checks.check_restriction(n, matrix[0], field)))
     results.append(
         (f"binomial-identity n<={args.n_max}", checks.check_binomial_identity(args.n_max))

@@ -15,7 +15,7 @@ from .homology import BettiTable, _graded_summary
 from .multidegree import Multidegree
 
 
-def betti_diagram(graded: dict[tuple[int, int], int]) -> str:
+def _betti_diagram(graded: dict[tuple[int, int], int]) -> str:
     """The Betti diagram of graded Betti numbers {(i, j): beta_{i,j}}."""
     p, _, totals = _graded_summary(graded)
     rows = sorted({j - i for i, j in graded})
@@ -36,35 +36,31 @@ def betti_diagram(graded: dict[tuple[int, int], int]) -> str:
     return "\n".join(lines)
 
 
-def raw_graded_lines(graded: dict[tuple[int, int], int]) -> str:
-    """(i, j, count) triples, one per line, sorted."""
-    return "\n".join(f"{i} {j} {c}" for (i, j), c in sorted(graded.items()))
-
-
-def multigraded_lines(table: BettiTable) -> str:
-    """One line per entry: homological index, monomial, multiplicity."""
-    items = sorted(table.entries.items())
-    return "\n".join(f"{i}  {a}  {c}" for (i, a), c in items)
-
-
 def graded_report(graded: dict[tuple[int, int], int], raw: bool = False) -> str:
     """pdim, reg and total lines, then the Betti diagram (or, with `raw`,
     the (i, j, count) triples) of graded Betti numbers."""
     pdim, reg, totals = _graded_summary(graded)
+    if raw:
+        body = "\n".join(f"{i} {j} {c}" for (i, j), c in sorted(graded.items()))
+    else:
+        body = _betti_diagram(graded)
     parts = [
         f"pdim: {pdim}",
         f"reg: {reg}",
         f"total: {' '.join(str(b) for b in totals)}",
         "",
-        raw_graded_lines(graded) if raw else betti_diagram(graded),
+        body,
     ]
     return "\n".join(parts) + "\n"
 
 
 def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False) -> str:
+    """graded_report of the table; with `multigraded`, then one line per
+    entry: homological index, monomial, multiplicity."""
     text = graded_report(table.graded(), raw)
     if multigraded:
-        text += "\n" + multigraded_lines(table) + "\n"
+        items = sorted(table.entries.items())
+        text += "\n" + "\n".join(f"{i}  {a}  {c}" for (i, a), c in items) + "\n"
     return text
 
 

@@ -1,10 +1,9 @@
-"""Betti splittings, Taylor tables of dominant ideals, support-disjoint
-product/sum convolutions, and the recursive upper bound for crown graphs."""
+"""Betti splittings, Taylor tables of dominant ideals, and the recursive
+upper bound for crown graphs."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -12,7 +11,6 @@ from .graphs import _family_shape, crown, edge_ideal
 from .homology import BettiTable, FieldSpec, multigraded_betti
 from .ideals import (
     MonomialIdeal,
-    colon_by_monomial,
     ideal_intersect,
     ideal_product,
     is_dominant,
@@ -119,49 +117,6 @@ def splitting_violation(
     return keys[0] if keys else None
 
 
-def _check_disjoint_tables(ti: BettiTable, tj: BettiTable) -> None:
-    if ti.variables != tj.variables:
-        raise ValueError("tables over different variable sets")
-    supp_i = frozenset().union(*(a.support() for _, a in ti.entries))
-    supp_j = frozenset().union(*(a.support() for _, a in tj.entries))
-    if supp_i & supp_j:
-        raise ValueError(f"supports overlap: {sorted(supp_i & supp_j)}")
-
-
-def betti_product_disjoint(ti: BettiTable, tj: BettiTable) -> BettiTable:
-    """Betti table of I*J from the tables of support-disjoint I and J:
-    a convolution in the homological index, multidegrees multiply."""
-    _check_disjoint_tables(ti, tj)
-    entries: dict[tuple[int, Multidegree], int] = {}
-    for (i, a), c in ti.entries.items():
-        for (j, b), d in tj.entries.items():
-            key = (i + j, a * b)
-            entries[key] = entries.get(key, 0) + c * d
-    return BettiTable(ti.variables, entries)
-
-
-def betti_sum_disjoint(ti: BettiTable, tj: BettiTable) -> BettiTable:
-    """Betti table of I + J for support-disjoint I and J.
-
-    The convolution runs over index pairs j + k = i - 1 with j, k >= -1,
-    where index -1 carries a formal unit entry (multiplicity 1 at
-    multidegree 0).  That convention makes pdim(I+J) = pdim(I) + pdim(J) + 1
-    come out of the same formula with no special cases.
-    """
-    _check_disjoint_tables(ti, tj)
-    one = ti.variables.one()
-    aug_i = {(-1, one): 1, **ti.entries}
-    aug_j = {(-1, one): 1, **tj.entries}
-    entries: dict[tuple[int, Multidegree], int] = {}
-    for (i, a), c in aug_i.items():
-        for (j, b), d in aug_j.items():
-            if i == -1 and j == -1:
-                continue
-            key = (i + j + 1, a * b)
-            entries[key] = entries.get(key, 0) + c * d
-    return BettiTable(ti.variables, entries)
-
-
 def mapping_cone_upper_bound(n: int, i: int) -> int:
     """Recursive upper bound on the i-th total Betti number of the crown
     edge ideal, from the mapping cone over the splitting
@@ -171,7 +126,8 @@ def mapping_cone_upper_bound(n: int, i: int) -> int:
     the colon chain bounds the intersection part by
     (n-1)*C(2n-4, i-1) + bound(n-1, i-1).  Base case: the complete
     intersection I_2.  The recursion is evaluated bottom-up over n, one
-    row of indices 0..i at a time.
+    row of indices 0..i at a time; checks.check_colon_chain checks the
+    colon chain and the bound against the closed-form totals.
     """
     _family_shape("crown", (n,))
     if i < 0:
@@ -188,16 +144,6 @@ def mapping_cone_upper_bound(n: int, i: int) -> int:
     return row[i]
 
 
-@dataclass(frozen=True)
-class CrownColonComponents:
-    """The ideals Q_s, P_s and C from the colon chain used in the crown
-    upper-bound argument."""
-
-    q: MonomialIdeal
-    p: MonomialIdeal
-    c: MonomialIdeal
-
-
 def crown_splitting(
     n: int, weights: Sequence[int]
 ) -> tuple[MonomialIdeal, MonomialIdeal]:
@@ -210,49 +156,3 @@ def crown_splitting(
     j_gens = [g for g in ideal.generators if not g.exponents[y_n]]
     k_gens = [g for g in ideal.generators if g.exponents[y_n]]
     return minimalize(ideal.variables, j_gens), minimalize(ideal.variables, k_gens)
-
-
-def crowncolon_components(
-    n: int, weights: Sequence[int], s: int
-) -> CrownColonComponents:
-    """Build Q_s = (I_{n-1}, x_n*x_1*y_1^{w_1}, ..., x_n*x_s*y_s^{w_s}),
-    P_s = Q_{s-1} : x_n*x_s*y_s^{w_s}, and C = Q_{n-1}, all inside the
-    2n-variable ring of the crown graph on n pairs.
-
-    P_s is checked against its closed form: the complete intersection on
-    the variables x_r and y_r^{w_r} for r < n, r != s.
-    """
-    if not (1 <= s <= n - 1):
-        raise ValueError(f"need 1 <= s <= n - 1, got s = {s} for n = {n}")
-    ideal = edge_ideal(crown(n, weights))
-    variables = ideal.variables
-    last_pair = (variables.index(f"x{n}"), variables.index(f"y{n}"))
-    # I_{n-1}: the generators that touch neither x_n nor y_n
-    sub = tuple(g for g in ideal.generators if not any(g.exponents[k] for k in last_pair))
-
-    def link(r: int) -> Multidegree:
-        return (
-            variables.variable(f"x{n}")
-            * variables.variable(f"x{r}")
-            * variables.variable(f"y{r}", weights[r - 1])
-        )
-
-    def q_ideal(upto: int) -> MonomialIdeal:
-        extra = [link(r) for r in range(1, upto + 1)]
-        return minimalize(variables, sub + tuple(extra))
-
-    p = colon_by_monomial(q_ideal(s - 1), link(s))
-    expected = minimalize(
-        variables,
-        [variables.variable(f"x{r}") for r in range(1, n) if r != s]
-        + [
-            variables.variable(f"y{r}", weights[r - 1])
-            for r in range(1, n)
-            if r != s
-        ],
-    )
-    if p != expected:
-        raise AssertionError(
-            f"colon ideal P_{s} deviates from its closed form: {p} != {expected}"
-        )
-    return CrownColonComponents(q=q_ideal(s), p=p, c=q_ideal(n - 1))

@@ -1,11 +1,17 @@
+import pytest
+
 from crownbetti import (
     BettiTable,
     FieldSpec,
+    colon_by_monomial,
     crown,
     crown_splitting,
     edge_ideal,
+    ideal_intersect,
+    mapping_cone_upper_bound,
     minimalize,
     multigraded_betti,
+    total_betti_closed_form,
 )
 from crownbetti import checks, splitting
 from crownbetti.multidegree import lcm_of
@@ -54,3 +60,43 @@ class TestCrownSplittingCheck:
         assert checks.check_crown_splitting(3, (1, 1, 1)) == [
             "splitting of I_3: G(I) must be the disjoint union of G(J) and G(K)"
         ]
+
+
+class TestColonChain:
+    def test_passes_on_every_default_row(self):
+        for n in range(2, 8):
+            for w in checks.default_weight_matrix(n):
+                assert checks.check_colon_chain(n, w) == []
+
+    def test_sees_a_dropped_colon_generator(self, monkeypatch):
+        def dropped(ideal, m):
+            colon = colon_by_monomial(ideal, m)
+            return minimalize(colon.variables, colon.generators[1:])
+
+        monkeypatch.setattr(checks, "colon_by_monomial", dropped)
+        failures = checks.check_colon_chain(3, (1, 2, 1))
+        assert len(failures) == 2
+        assert failures[0].startswith("Q_0 : ")
+
+    def test_sees_a_wrong_intersection(self, monkeypatch):
+        def dropped(a, b):
+            meet = ideal_intersect(a, b)
+            return minimalize(meet.variables, meet.generators[1:])
+
+        monkeypatch.setattr(checks, "ideal_intersect", dropped)
+        failures = checks.check_colon_chain(3, (1, 2, 1))
+        assert len(failures) == 1
+        assert failures[0].startswith("J ∩ K = ") and " expected y3 * (" in failures[0]
+
+    def test_sees_a_bound_below_the_totals(self, monkeypatch):
+        def short(n, i):
+            return mapping_cone_upper_bound(n, i) - (i == 2) * 10**6
+
+        monkeypatch.setattr(checks, "mapping_cone_upper_bound", short)
+        failures = checks.check_colon_chain(4, (1, 1, 1, 1))
+        assert len(failures) == 1
+        assert failures[0].endswith(f"< closed-form beta_2 = {total_betti_closed_form(4, 2)}")
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError, match="crown graph needs n >= 2"):
+            checks.check_colon_chain(1, (1,))

@@ -191,7 +191,10 @@ class TestGraphCommand:
     @staticmethod
     def write_doc(tmp_path, payload, name="graph.json"):
         path = tmp_path / name
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         return str(path)
 
     def test_crown3_document_matches_crown_command(self, capsys, tmp_path):
@@ -265,13 +268,48 @@ class TestGraphCommand:
             {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]},
             '{"vertices": ["a", "b"], "edges": [["a", "b"]], "edges": [["b", "a"]]}',
             '{"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": 1, "b": 3}}',
+            pytest.param(b"\xff\xfe{", id="not-utf8"),
+            pytest.param("[" * 200000 + "]" * 200000, id="nested-200000-deep"),
+            pytest.param(
+                '{"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": 1%s}}'
+                % ("0" * 5000),
+                id="weight-of-5001-digits",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integer strings of any length",
+                ),
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, capsys, tmp_path, payload):
         path = self.write_doc(tmp_path, payload)
-        code, _, err = run(capsys, "graph", path)
-        assert code == EXIT_USAGE
-        assert err.startswith("error:")
+        code, out, err = run(capsys, "graph", path)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (
+                {
+                    "vertices": ["a", "b", "c"],
+                    "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["b", "c"], ["a", "b"]],
+                },
+                "edge ['b', 'c'] is listed more than once",
+            ),
+            (
+                '{"vertices": ["a", "b"], "edges": [["a", "b"]], '
+                '"weights": {"a": 1, "b": 1, "c": 1, "b": 2, "a": 2}}',
+                "key 'b' is given more than once",
+            ),
+        ],
+    )
+    def test_repeat_message_names_the_first_repeat(self, capsys, tmp_path, payload, message):
+        # the first item that repeats an earlier one, not the first one repeated
+        path = self.write_doc(tmp_path, payload)
+        code, out, err = run(capsys, "graph", path)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {path}: {message}\n"
 
 
 class TestFamilyCommand:
@@ -456,6 +494,12 @@ class TestVerifyCommand:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["failures"] == 0
         assert summary["checks"] > 0
+        # the colon chain runs from n = 3, once per weight row
+        assert [line for line in out.splitlines() if "colon-chain" in line] == [
+            "PASS colon-chain n=3 w=1,1,1",
+            "PASS colon-chain n=3 w=2,1,1",
+            "PASS colon-chain n=3 w=1,2,3",
+        ]
 
     def test_explicit_weight_matrix(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--weights", "1,1,1;2,1,3")
@@ -478,8 +522,8 @@ class TestVerifyCommand:
             raise AssertionError("a check ran before every weight row was parsed")
 
         for name in (
-            "check_formula_vs_oracle", "check_crown_splitting", "check_restriction",
-            "check_binomial_identity",
+            "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
+            "check_restriction", "check_binomial_identity",
         ):
             monkeypatch.setattr(checks, name, refuse)
         code, out, err = run(capsys, "verify", "--n", "2..3", "--weights", "1,1")

@@ -4,16 +4,16 @@ import random
 import pytest
 
 from crownbetti import (
+    BettiTable,
     FieldSpec,
     VariableSet,
-    betti_product_disjoint,
-    betti_sum_disjoint,
     check_splitting_lemma_hypotheses,
     checks,
+    colon_by_monomial,
     crown,
     crown_splitting,
-    crowncolon_components,
     edge_ideal,
+    ideal_intersect,
     ideal_product,
     ideal_sum,
     induced_subgraph,
@@ -211,7 +211,53 @@ class TestSplittingLemmaHypotheses:
         assert not check_splitting_lemma_hypotheses(i_part, j_part, k_part)
 
 
+def _check_disjoint_tables(ti, tj):
+    if ti.variables != tj.variables:
+        raise ValueError("tables over different variable sets")
+    supp_i = frozenset().union(*(a.support() for _, a in ti.entries))
+    supp_j = frozenset().union(*(a.support() for _, a in tj.entries))
+    if supp_i & supp_j:
+        raise ValueError(f"supports overlap: {sorted(supp_i & supp_j)}")
+
+
+def betti_product_disjoint(ti, tj):
+    """Betti table of I*J from the tables of support-disjoint I and J:
+    a convolution in the homological index, multidegrees multiply."""
+    _check_disjoint_tables(ti, tj)
+    entries = {}
+    for (i, a), c in ti.entries.items():
+        for (j, b), d in tj.entries.items():
+            key = (i + j, a * b)
+            entries[key] = entries.get(key, 0) + c * d
+    return BettiTable(ti.variables, entries)
+
+
+def betti_sum_disjoint(ti, tj):
+    """Betti table of I + J for support-disjoint I and J.
+
+    The convolution runs over index pairs j + k = i - 1 with j, k >= -1,
+    where index -1 carries a formal unit entry (multiplicity 1 at
+    multidegree 0).  That convention makes pdim(I+J) = pdim(I) + pdim(J) + 1
+    come out of the same formula with no special cases.
+    """
+    _check_disjoint_tables(ti, tj)
+    one = ti.variables.one()
+    aug_i = {(-1, one): 1, **ti.entries}
+    aug_j = {(-1, one): 1, **tj.entries}
+    entries = {}
+    for (i, a), c in aug_i.items():
+        for (j, b), d in aug_j.items():
+            if i == -1 and j == -1:
+                continue
+            key = (i + j + 1, a * b)
+            entries[key] = entries.get(key, 0) + c * d
+    return BettiTable(ti.variables, entries)
+
+
 class TestDisjointConvolutions:
+    """The Betti tables of products and sums of support-disjoint ideals are
+    convolutions of their factors' tables; the oracle must agree."""
+
     def test_product_of_principal_tables(self):
         vs = VariableSet(("x", "y"))
         tx = multigraded_betti(minimalize(vs, [vs.from_dict({"x": 2})]))
@@ -372,19 +418,34 @@ class TestCrownSplitting:
 
 
 class TestCrownColon:
+    """The colon chain of check_colon_chain, on hand-built ideals."""
+
+    @staticmethod
+    def q0_and_link(n, w, s):
+        vs = xy_variables(n)
+        first_pairs = [f"{v}{r}" for v in "xy" for r in range(1, n)]
+        q0 = edge_ideal(induced_subgraph(crown(n, w), first_pairs))
+        link = vs.variable(f"x{n}") * vs.variable(f"x{s}") * vs.variable(f"y{s}", w[s - 1])
+        return vs, q0, link
+
     def test_p1_closed_form(self):
-        out = crowncolon_components(3, (1, 1, 1), 1)
-        vs = xy_variables(3)
-        assert out.p == minimalize(vs, [vs.variable("x2"), vs.variable("y2")])
+        vs, q0, link = self.q0_and_link(3, (1, 1, 1), 1)
+        p1 = colon_by_monomial(q0, link)
+        assert p1 == minimalize(vs, [vs.variable("x2"), vs.variable("y2")])
+        assert checks.check_colon_chain(3, (1, 1, 1)) == []
 
     def test_p2_closed_form_with_weights(self):
-        out = crowncolon_components(3, (1, 2, 1), 2)
-        vs = xy_variables(3)
-        assert out.p == minimalize(vs, [vs.variable("x1"), vs.variable("y1")])
+        w = (1, 2, 1)
+        vs, q0, link1 = self.q0_and_link(3, w, 1)
+        _, _, link2 = self.q0_and_link(3, w, 2)
+        q1 = minimalize(vs, q0.generators + (link1,))
+        p2 = colon_by_monomial(q1, link2)
+        assert p2 == minimalize(vs, [vs.variable("x1"), vs.variable("y1")])
+        assert checks.check_colon_chain(3, w) == []
 
     def test_c_is_final_q(self):
+        # C = Q_{n-1}, and the splitting's J ∩ K is y_n^{w_n} * C
         w = (2, 1, 2)
-        out = crowncolon_components(3, w, 1)
         vs = xy_variables(3)
         expected_c = minimalize(
             vs,
@@ -395,9 +456,6 @@ class TestCrownColon:
                 vs.variable("x3") * vs.variable("x2") * vs.variable("y2", w[1]),
             ],
         )
-        assert out.c == expected_c
-
-    @pytest.mark.parametrize("n,s", [(3, 0), (3, 3), (2, 2)])
-    def test_out_of_range_rejected(self, n, s):
-        with pytest.raises(ValueError):
-            crowncolon_components(n, (1,) * n, s)
+        meet = ideal_intersect(*crown_splitting(3, w))
+        assert meet == scale(vs.variable("y3", w[2]), expected_c)
+        assert checks.check_colon_chain(3, w) == []
