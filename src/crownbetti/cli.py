@@ -3,7 +3,7 @@
 Commands:
   crown    Betti data of a crown edge ideal (closed form, oracle, or both)
   graph    oracle Betti data of an arbitrary weighted oriented graph (JSON)
-  family   top Betti data of one of the four named families
+  family   top Betti data of a named family; --oracle adds crown's report of its shape
   verify   formula-vs-oracle sweeps plus the structural lemma checks
 
 Exit codes: 0 success, 2 usage or parse error, 3 verification mismatch.
@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from . import checks
 from .formulas import (
     family_top_betti,
-    multigraded_betti_formula,
     shape_betti_formula,
     shape_entry_count,
     shape_graded_formula,
@@ -52,13 +51,11 @@ class UsageError(Exception):
     pass
 
 
-def _parse_weights(text: Optional[str], n: int) -> tuple[int, ...]:
-    if text is None:
-        return (1,) * n
+def _parse_ints(text: str, name: str) -> tuple[int, ...]:
     try:
-        return tuple(int(w) for w in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"weights must be comma-separated integers, got {text!r}")
+        raise UsageError(f"{name} must be comma-separated integers, got {text!r}")
 
 
 def _parse_field(text: Optional[str]) -> FieldSpec:
@@ -86,11 +83,21 @@ def _shape(
     key = kind.replace("-", "_")
     try:
         shape = _family_shape(key, params)
-        parsed = _parse_weights(weights, shape[2])
+        parsed = (1,) * shape[2] if weights is None else _parse_ints(weights, "weights")
         _check_shape(*shape, parsed)
     except ValueError as exc:
         raise UsageError(str(exc).replace(repr(key), repr(kind)))
     return shape, parsed
+
+
+def _check_options(args, no_oracle: str = "", table: bool = True) -> None:
+    """The option rules of crown, family and graph; `no_oracle` names what runs no oracle."""
+    if no_oracle and args.field is not None:
+        raise UsageError(f"--field sets the oracle's field: {no_oracle} runs no oracle")
+    if not table and (args.raw or args.multigraded):
+        raise UsageError(f"--raw and --multigraded shape the table: {no_oracle} prints none")
+    if args.raw and args.output == "json":
+        raise UsageError("--raw applies to the text report, not to --output json")
 
 
 def _emit(table: BettiTable, args) -> None:
@@ -100,17 +107,16 @@ def _emit(table: BettiTable, args) -> None:
         print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
 
 
-def cmd_crown(args) -> int:
-    shape, weights = _shape("crown", (args.n,), args.weights)
-    if args.mode == "formula" and args.field is not None:
-        raise UsageError("--field sets the oracle's field: --mode formula runs no oracle")
+def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = "") -> int:
+    """Print `head` and the report of the shape (m, s, t) with y-weights
+    `weights` by `mode` (formula, oracle, or both compared); the exit code.
+    A closed form is listed only under the cap; a mismatch prints only `head`."""
     field = _parse_field(args.field)
-    if args.mode == "formula" and args.output == "text" and not args.multigraded:
+    if mode == "formula" and args.output == "text" and not args.multigraded:
         # the report shows graded numbers only: count them, list no entry
-        graded = shape_graded_formula(*shape, weights)
-        print(graded_report(graded, raw=args.raw), end="")
+        print(head + graded_report(shape_graded_formula(*shape, weights), raw=args.raw), end="")
         return EXIT_OK
-    if args.mode in ("formula", "both"):
+    if mode != "oracle":
         count = shape_entry_count(*shape, weights)
         if count > MAX_LISTED_ENTRIES:
             raise UsageError(
@@ -118,15 +124,19 @@ def cmd_crown(args) -> int:
                 f"{MAX_LISTED_ENTRIES}; --mode formula without --output json or --multigraded "
                 "counts the graded numbers instead"
             )
-    oracle = formula = None
-    if args.mode in ("oracle", "both"):
-        oracle = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
-    if args.mode in ("formula", "both"):
-        formula = multigraded_betti_formula(args.n, weights)
-    if args.mode == "both" and oracle != formula:
-        return _report_mismatch(oracle, formula)
-    _emit(oracle if oracle is not None else formula, args)
+    table = formula = shape_betti_formula(*shape, weights) if mode != "oracle" else None
+    if mode != "formula":
+        table = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
+    print(head, end="")
+    if mode == "both" and table != formula:
+        return _report_mismatch(table, formula)
+    _emit(table, args)
     return EXIT_OK
+
+
+def cmd_crown(args) -> int:
+    _check_options(args, no_oracle="--mode formula" if args.mode == "formula" else "")
+    return _shape_report(*_shape("crown", (args.n,), args.weights), args, args.mode)
 
 
 def _report_mismatch(oracle: BettiTable, formula: BettiTable) -> int:
@@ -204,6 +214,7 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
 
 
 def cmd_graph(args) -> int:
+    _check_options(args)
     graph = load_graph_document(args.input)
     ideal = edge_ideal(graph)
     if ideal.is_zero():
@@ -215,27 +226,17 @@ def cmd_graph(args) -> int:
 
 
 def cmd_family(args) -> int:
-    try:
-        params = tuple(int(p) for p in args.params.split(","))
-    except ValueError:
-        raise UsageError(f"params must be comma-separated integers, got {args.params!r}")
+    _check_options(args, "" if args.oracle else "family without --oracle", table=args.oracle)
+    params = _parse_ints(args.params, "params")
     shape, weights = _shape(args.kind, params, args.weights)
-    field = _parse_field(args.field)
-    if not args.oracle and (args.field is not None or args.raw or args.multigraded):
-        raise UsageError("--field, --raw and --multigraded apply to the oracle table: add --oracle")
     top = family_top_betti(args.kind.replace("-", "_"), params, weights)
-    print(f"pdim: {top.pdim}")
-    print(f"top multidegree: {top.top_multidegree}")
-    print(f"top value: {top.top_value}")
-    if args.oracle:
-        table = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
-        print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
-        formula = shape_betti_formula(*shape, weights)
-        ok = table == formula
-        print(f"table check: {'pass' if ok else 'FAIL'}")
-        if not ok:
-            return _report_mismatch(table, formula)
-    return EXIT_OK
+    head = f"pdim: {top.pdim}\ntop multidegree: {top.top_multidegree}\ntop value: {top.top_value}\n"
+    if not args.oracle:
+        print(head, end="")
+        return EXIT_OK
+    code = _shape_report(shape, weights, args, "both", head)
+    print(f"table check: {'pass' if code == EXIT_OK else 'FAIL'}")
+    return code
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--oracle", action="store_true",
                           help="also compute the oracle table and check it against the formula")
     add_table_options(p_family)
-    p_family.set_defaults(func=cmd_family)
+    p_family.set_defaults(func=cmd_family, output="text")  # no --output: a text report
 
     p_verify = sub.add_parser("verify", help="formula-vs-oracle verification sweep")
     p_verify.add_argument("--n", default="2..4", help="range of crown sizes, e.g. 2..4")
@@ -341,8 +342,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "output", None) == "json" and args.raw:
-            raise UsageError("--raw applies to the text report, not to --output json")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

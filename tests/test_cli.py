@@ -98,7 +98,7 @@ class TestCrownCommand:
         for module, name in [
             (formulas_module, "enumerate_N"),
             (formulas_module, "enumerate_M"),
-            (cli_module, "multigraded_betti_formula"),
+            (cli_module, "shape_betti_formula"),
         ]:
             monkeypatch.setattr(module, name, refuse)
         for extra in ((), ("--raw",)):
@@ -130,7 +130,7 @@ class TestCrownCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the table was listed or computed")
 
-        monkeypatch.setattr(cli_module, "multigraded_betti_formula", refuse)
+        monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
         monkeypatch.setattr(cli_module, "multigraded_betti", refuse)
         code, out, err = run(capsys, "crown", "--n", "11", *extra)
         assert code == EXIT_USAGE and out == ""
@@ -174,16 +174,16 @@ class TestCrownCommand:
         # perturb the formula route so the oracle comparison must fail
         import crownbetti.cli as cli_module
 
-        def broken(n, weights):
-            table = multigraded_betti_formula(n, weights)
+        def broken(m, s, t, weights):
+            table = shape_betti_formula(m, s, t, weights)
             entries = dict(table.entries)
             key, value = min(entries.items())
             entries[key] = value + 1
             return BettiTable(table.variables, entries)
 
-        monkeypatch.setattr(cli_module, "multigraded_betti_formula", broken)
-        code, _, err = run(capsys, "crown", "--n", "2", "--mode", "both")
-        assert code == EXIT_MISMATCH
+        monkeypatch.setattr(cli_module, "shape_betti_formula", broken)
+        code, out, err = run(capsys, "crown", "--n", "2", "--mode", "both")
+        assert code == EXIT_MISMATCH and out == ""
         assert "mismatch at beta_(" in err
 
 
@@ -350,11 +350,51 @@ class TestFamilyCommand:
             entries[key] = value + 1
             return BettiTable(table.variables, entries)
 
+        top = run(capsys, "family", "unbalanced", "--params", "4,3")[1]
         monkeypatch.setattr(cli_module, "shape_betti_formula", broken)
         code, out, err = run(capsys, "family", "unbalanced", "--params", "4,3", "--oracle")
         assert code == EXIT_MISMATCH
-        assert "table check: FAIL" in out
+        # as with crown --mode both, a mismatch prints no table
+        assert out == top + "table check: FAIL\n"
         assert "mismatch at beta_(" in err
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_oracle_report_is_the_crown_report(self, capsys, n):
+        # family --oracle prints its top lines, crown's report, then its check
+        for w in checks.default_weight_matrix(n):
+            weights = ",".join(map(str, w))
+            top = run(capsys, "family", "crown", "--params", str(n), "--weights", weights)[1]
+            for extra in ((), ("--raw",), ("--multigraded",)):
+                crown_out = run(
+                    capsys, "crown", "--n", str(n), "--weights", weights, "--mode", "both", *extra
+                )[1]
+                assert run(
+                    capsys, "family", "crown", "--params", str(n), "--weights", weights,
+                    "--oracle", *extra,
+                ) == (EXIT_OK, top + crown_out + "table check: pass\n", "")
+
+    @pytest.mark.parametrize(
+        "kind,params,count",
+        [("crown", "11", 3540670), ("complete-bipartite", "12,12", 16769025)],
+    )
+    def test_oracle_over_the_listing_cap_exits_at_once(
+        self, capsys, monkeypatch, kind, params, count
+    ):
+        # the crown's cap refuses the table before any oracle runs or line prints
+        from crownbetti import cli as cli_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was listed or computed")
+
+        monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
+        monkeypatch.setattr(cli_module, "multigraded_betti", refuse)
+        code, out, err = run(capsys, "family", kind, "--params", params, "--oracle")
+        assert code == EXIT_USAGE and out == ""
+        assert err == (
+            f"error: the formula table has {count} multigraded entries, above the cap of "
+            "1000000; --mode formula without --output json or --multigraded counts the "
+            "graded numbers instead\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -408,12 +448,16 @@ class TestFieldOption:
             ("family", "crown", "--params", "3", "--field", "2"),
             ("family", "unbalanced", "--params", "4,3", "--field", "32003"),
             ("family", "generalized", "--params", "2,4,3", "--field", "0"),
+            # the rule is checked before the field itself is parsed
+            ("family", "crown", "--params", "3", "--field", "4"),
+            ("family", "crown", "--params", "3", "--field", "junk"),
         ],
     )
     def test_field_without_oracle_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error:") and "--field" in err
+        assert err.startswith("error: --field sets the oracle's field: ")
+        assert err.endswith(" runs no oracle\n")
 
     @pytest.fixture
     def oracle_fields(self, monkeypatch):
