@@ -6,6 +6,8 @@ Commands:
   family   top Betti data of a named family; --oracle adds crown's report of its shape
   verify   formula-vs-oracle sweeps plus the structural lemma checks
 
+Every integer on the command line is written as str(int) prints it: ASCII
+digits after an optional '-', with no leading zero; anything else exits 2.
 Exit codes: 0 success, 2 usage or parse error, 3 verification mismatch.
 """
 
@@ -51,11 +53,17 @@ class UsageError(Exception):
     pass
 
 
-def _parse_ints(text: str, name: str) -> tuple[int, ...]:
+def _parse_ints(text: str, error: str, sep: str = ",", maxsplit: int = -1) -> tuple[int, ...]:
+    """The integers of `text` split at `sep` at most `maxsplit` times (0: one integer),
+    each written as str(int) prints it: ASCII digits, no leading zero, an optional '-',
+    at most Python's 4300 digits.  Anything else is the usage error `error` of `text`."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        values = tuple(int(x) for x in text.split(sep, maxsplit))
+        if sep.join(map(str, values)) == text:
+            return values
     except ValueError:
-        raise UsageError(f"{name} must be comma-separated integers, got {text!r}")
+        pass
+    raise UsageError(error.format(text))
 
 
 def _parse_field(text: Optional[str]) -> FieldSpec:
@@ -63,11 +71,7 @@ def _parse_field(text: Optional[str]) -> FieldSpec:
     if text is None:
         return FieldSpec()
     try:
-        characteristic = int(text)
-    except ValueError:
-        raise UsageError(f"field must be an integer, got {text!r}")
-    try:
-        return FieldSpec(characteristic)
+        return FieldSpec(*_parse_ints(text, "field must be an integer, got {!r}", maxsplit=0))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -83,7 +87,9 @@ def _shape(
     key = kind.replace("-", "_")
     try:
         shape = _family_shape(key, params)
-        parsed = (1,) * shape[2] if weights is None else _parse_ints(weights, "weights")
+        parsed = (1,) * shape[2] if weights is None else _parse_ints(
+            weights, "weights must be comma-separated integers, got {!r}"
+        )
         _check_shape(*shape, parsed)
     except ValueError as exc:
         raise UsageError(str(exc).replace(repr(key), repr(kind)))
@@ -119,10 +125,13 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
     if mode != "oracle":
         count = shape_entry_count(*shape, weights)
         if count > MAX_LISTED_ENTRIES:
+            # only crown takes --mode and --output
             raise UsageError(
                 f"the formula table has {count} multigraded entries, above the cap of "
-                f"{MAX_LISTED_ENTRIES}; --mode formula without --output json or --multigraded "
-                "counts the graded numbers instead"
+                f"{MAX_LISTED_ENTRIES}" + (
+                    "; --mode formula without --output json or --multigraded counts the "
+                    "graded numbers instead" if args.command == "crown" else ""
+                )
             )
     table = formula = shape_betti_formula(*shape, weights) if mode != "oracle" else None
     if mode != "formula":
@@ -136,7 +145,8 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
 
 def cmd_crown(args) -> int:
     _check_options(args, no_oracle="--mode formula" if args.mode == "formula" else "")
-    return _shape_report(*_shape("crown", (args.n,), args.weights), args, args.mode)
+    params = _parse_ints(args.n, "n must be an integer, got {!r}", maxsplit=0)
+    return _shape_report(*_shape("crown", params, args.weights), args, args.mode)
 
 
 def _report_mismatch(oracle: BettiTable, formula: BettiTable) -> int:
@@ -227,7 +237,7 @@ def cmd_graph(args) -> int:
 
 def cmd_family(args) -> int:
     _check_options(args, "" if args.oracle else "family without --oracle", table=args.oracle)
-    params = _parse_ints(args.params, "params")
+    params = _parse_ints(args.params, "params must be comma-separated integers, got {!r}")
     shape, weights = _shape(args.kind, params, args.weights)
     top = family_top_betti(args.kind.replace("-", "_"), params, weights)
     head = f"pdim: {top.pdim}\ntop multidegree: {top.top_multidegree}\ntop value: {top.top_value}\n"
@@ -239,27 +249,18 @@ def cmd_family(args) -> int:
     return code
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return int(lo), int(hi)
-        n = int(text)
-        return n, n
-    except ValueError:
-        raise UsageError(f"bad range {text!r}; expected N or LO..HI")
-
-
 def cmd_verify(args) -> int:
     field = _parse_field(args.field)
-    lo, hi = _parse_range(args.n)
-    if hi > 6:
-        raise UsageError(f"oracle verification is guarded at n <= 6, got {hi}")
+    bounds = _parse_ints(args.n, "bad range {!r}; expected N or LO..HI", "..", maxsplit=1)
+    lo, hi = bounds[0], bounds[-1]
+    if hi > 7:
+        raise UsageError(f"oracle verification is guarded at n <= 7, got {hi}")
     _shape("crown", (lo,), None)
     if lo > hi:
         raise UsageError(f"bad range {args.n!r}: need LO <= HI")
-    if args.n_max < 2:
-        raise UsageError(f"the identity check needs --n-max >= 2, got {args.n_max}")
+    (n_max,) = _parse_ints(args.n_max, "n-max must be an integer, got {!r}", maxsplit=0)
+    if n_max < 2:
+        raise UsageError(f"the identity check needs --n-max >= 2, got {n_max}")
     # every weight row is parsed for every n before any check runs
     matrices = {
         n: checks.default_weight_matrix(n)
@@ -280,9 +281,7 @@ def cmd_verify(args) -> int:
                 )
                 results.append((f"colon-chain {label}", checks.check_colon_chain(n, weights)))
         results.append((f"restriction n={n}", checks.check_restriction(n, matrix[0], field)))
-    results.append(
-        (f"binomial-identity n<={args.n_max}", checks.check_binomial_identity(args.n_max))
-    )
+    results.append((f"binomial-identity n<={n_max}", checks.check_binomial_identity(n_max)))
     for name, failures in results:
         print(f"FAIL {name}: {failures[0]}" if failures else f"PASS {name}")
     failed = sum(1 for _, failures in results if failures)
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     p_crown = sub.add_parser("crown", help="Betti data of a crown edge ideal")
-    p_crown.add_argument("--n", type=int, required=True)
+    p_crown.add_argument("--n", required=True)
     p_crown.add_argument("--weights", help="comma-separated weights of y1..yn (default all 1)")
     p_crown.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
     add_common(p_crown)
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--weights", default="default",
                           help="'default' or semicolon-separated weight vectors")
     p_verify.add_argument("--field", help=FIELD_HELP)
-    p_verify.add_argument("--n-max", type=int, default=12,
+    p_verify.add_argument("--n-max", default="12",
                           help="upper bound for the binomial identity check that ends the sweep")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -135,6 +135,8 @@ class TestCrownCommand:
         code, out, err = run(capsys, "crown", "--n", "11", *extra)
         assert code == EXIT_USAGE and out == ""
         assert "3540670" in err and "cap" in err
+        assert err.endswith("; --mode formula without --output json or --multigraded "
+                            "counts the graded numbers instead\n")
 
     def test_audit_full_lattice_is_refused(self, capsys):
         # no command sweeps the full box: the flag is an unknown argument
@@ -380,7 +382,8 @@ class TestFamilyCommand:
     def test_oracle_over_the_listing_cap_exits_at_once(
         self, capsys, monkeypatch, kind, params, count
     ):
-        # the crown's cap refuses the table before any oracle runs or line prints
+        # the crown's cap refuses the table before any oracle runs or line prints;
+        # the message ends at the cap, since family takes no --mode or --output
         from crownbetti import cli as cli_module
 
         def refuse(*args, **kwargs):
@@ -392,8 +395,7 @@ class TestFamilyCommand:
         assert code == EXIT_USAGE and out == ""
         assert err == (
             f"error: the formula table has {count} multigraded entries, above the cap of "
-            "1000000; --mode formula without --output json or --multigraded counts the "
-            "graded numbers instead\n"
+            "1000000\n"
         )
 
     @pytest.mark.parametrize(
@@ -574,10 +576,22 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: expected 3 weights, got 2\n"
 
+    def test_guard_admits_n7(self, capsys, monkeypatch):
+        # the full sweep at n = 7 takes minutes, so every check is stubbed here
+        for name in (
+            "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
+            "check_restriction", "check_binomial_identity",
+        ):
+            monkeypatch.setattr(checks, name, lambda *args: [])
+        code, out, err = run(capsys, "verify", "--n", "7")
+        assert code == EXIT_OK and err == ""
+        assert "PASS restriction n=7" in out.splitlines()
+        assert out.splitlines()[-1] == '{"checks": 11, "failures": 0}'
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify", "--n", "5..7"),
+            ("verify", "--n", "5..8"),
             ("verify", "--n", "1..3"),
             ("verify", "--n", "junk"),
             ("verify", "--n", "5..3"),
@@ -605,6 +619,56 @@ class TestVerifyCommand:
 def test_shape_rule_messages(capsys, argv, message):
     # the crown rule and the weight rule are read from graphs, message and all
     assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+# each option that reads integers, with its text holding V and the part the
+# error quotes; verify's LO case has HI = 8, over the guard, so only the range
+# parse can quote it
+INTEGER_OPTIONS = {
+    "crown-n": (("crown", "--n", "V", "--mode", "formula"), "V"),
+    "crown-weights": (("crown", "--n", "3", "--weights", "1,V,1", "--mode", "formula"), "1,V,1"),
+    "family-weights": (("family", "crown", "--params", "3", "--weights", "1,V,1"), "1,V,1"),
+    "family-params": (("family", "crown", "--params", "V"), "V"),
+    "crown-field": (("crown", "--n", "3", "--mode", "oracle", "--field", "V"), "V"),
+    "graph-field": (("graph", "DOC", "--field", "V"), "V"),
+    "family-field": (("family", "crown", "--params", "3", "--oracle", "--field", "V"), "V"),
+    "verify-field": (("verify", "--n", "2", "--field", "V"), "V"),
+    "verify-lo": (("verify", "--n", "V..8"), "V..8"),
+    "verify-hi": (("verify", "--n", "2..V"), "2..V"),
+    "verify-weights": (("verify", "--n", "3", "--weights", "1,1,1;1,V,1"), "1,V,1"),
+    "verify-n-max": (("verify", "--n", "2", "--n-max", "V"), "V"),
+}
+# text that int() reads but str(int) never prints, a number past Python's
+# 4300-digit limit, and no text at all
+NOT_PLAIN_DIGITS = {
+    "underscore": "1_0", "plus": "+3", "space": " 3", "arabic-indic": "\u0663",
+    "5000-digits": "9" * 5000, "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", NOT_PLAIN_DIGITS.values(), ids=NOT_PLAIN_DIGITS.keys())
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+def test_integers_are_plain_digits(capsys, monkeypatch, tmp_path, option, text):
+    from crownbetti import cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was computed from a misread integer")
+
+    for name in ("multigraded_betti", "shape_graded_formula", "shape_betti_formula"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    for name in (
+        "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
+        "check_restriction", "check_binomial_identity",
+    ):
+        monkeypatch.setattr(checks, name, refuse)
+    doc = tmp_path / "graph.json"
+    doc.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    template, quoted = INTEGER_OPTIONS[option]
+    argv = [a.replace("V", text).replace("DOC", str(doc)) for a in template]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    last = err.splitlines()[-1]
+    assert "error: " in last and repr(quoted.replace("V", text)) in last
 
 
 class TestJsonSchema:
