@@ -44,6 +44,10 @@ EXIT_MISMATCH = 3
 # the most multigraded entries a crown formula table may list: the table
 # has about 3^n, 849,699 at n = 10 and 3,540,670 at n = 11
 MAX_LISTED_ENTRIES = 10**6
+# the most vertices s + t a shape may have: family answers at the cap in
+# about 0.2 s (shared 2-core host), and no weight tuple or variable name is
+# built past it
+MAX_SHAPE_VERTICES = 10**5
 
 
 FIELD_HELP = f"the oracle's field characteristic: a prime or 0 (default {DEFAULT_PRIME})"
@@ -82,11 +86,16 @@ def _shape(
     """The shape (m, s, t) of the member of family `kind`, spelled as on the
     command line, with `params`, and its y-weights parsed from `weights`
     (default all 1).  The params are checked before the weights are read;
-    params the family does not admit, or weights its shape does not, are a
-    usage error."""
+    params the family does not admit, a shape of more than MAX_SHAPE_VERTICES
+    vertices, or weights the shape does not admit, are a usage error."""
     key = kind.replace("-", "_")
     try:
         shape = _family_shape(key, params)
+        vertices = shape[1] + shape[2]
+        if vertices > MAX_SHAPE_VERTICES:
+            raise UsageError(
+                f"the shape has {vertices} vertices, above the cap of {MAX_SHAPE_VERTICES}"
+            )
         parsed = (1,) * shape[2] if weights is None else _parse_ints(
             weights, "weights must be comma-separated integers, got {!r}"
         )
@@ -261,6 +270,8 @@ def cmd_verify(args) -> int:
     (n_max,) = _parse_ints(args.n_max, "n-max must be an integer, got {!r}", maxsplit=0)
     if n_max < 2:
         raise UsageError(f"the identity check needs --n-max >= 2, got {n_max}")
+    if n_max > 100:
+        raise UsageError(f"the identity check is guarded at --n-max <= 100, got {n_max}")
     # every weight row is parsed for every n before any check runs
     matrices = {
         n: checks.default_weight_matrix(n)

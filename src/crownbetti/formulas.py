@@ -57,11 +57,11 @@ def _selections(
         slots += [((s + r, weights[r]),) for r in range(m, t)]
         for extra in combinations(slots, lone):
             for choice in product(*extra):
+                if not pairs and len({pos < s for pos, _ in choice}) < 2:
+                    continue
                 exps = base.copy()
                 for pos, e in choice:
                     exps[pos] = e
-                if not pairs and not (any(exps[:s]) and any(exps[s:])):
-                    continue
                 yield tuple(exps)
 
 

@@ -432,12 +432,13 @@ class BettiTable:
     entries: dict[tuple[int, Multidegree], int]
 
     def __post_init__(self):
+        variables = self.variables
         for (i, a), c in self.entries.items():
             if c <= 0:
                 raise ValueError(f"zero/negative multiplicity at ({i}, {a})")
             if i < 0:
                 raise ValueError(f"negative homological index {i}")
-            if a.variables != self.variables:
+            if a.variables is not variables and a.variables != variables:
                 raise ValueError("entry multidegree over a different variable set")
 
     def entry(self, i: int, a: Multidegree) -> int:
@@ -455,7 +456,7 @@ class BettiTable:
             raise ValueError("empty Betti table")
         out: dict[tuple[int, int], int] = {}
         for (i, a), c in self.entries.items():
-            key = (i, a.degree())
+            key = (i, sum(a.exponents))
             out[key] = out.get(key, 0) + c
         return out
 

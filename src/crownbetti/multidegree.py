@@ -3,13 +3,19 @@
 A multidegree doubles as a monomial: the vector (2, 0, 1) over variables
 (x, y, z) is the monomial x^2*z.  All ideal-level machinery in this
 package is built on componentwise arithmetic of these vectors.
+
+A Betti table holds one multidegree per entry, about 3^n for a crown on
+n pairs, so the type is kept cheap: it is slotted, it hashes by its
+exponents alone (equal multidegrees have equal exponents), and each shape
+(s, t) shares one immutable variable set x1..xs, y1..yt, so comparing the
+variable sets of two entries of one table is an identity test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 
@@ -59,8 +65,10 @@ class VariableSet:
         return Multidegree(self, tuple(exps))
 
 
+@lru_cache(maxsize=64)
 def _xy_variables(s: int, t: int) -> VariableSet:
-    """The universe x1..xs, y1..yt of a generalized-crown shape, in that order."""
+    """The universe x1..xs, y1..yt of a generalized-crown shape, in that order;
+    one shared (immutable) set per shape."""
     return VariableSet(
         tuple(f"x{i}" for i in range(1, s + 1)) + tuple(f"y{j}" for j in range(1, t + 1))
     )
@@ -71,23 +79,30 @@ def xy_variables(n: int) -> VariableSet:
     return _xy_variables(n, n)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Multidegree:
     """Nonnegative exponent vector over a VariableSet; identified with
     the monomial it encodes.  Over one variable set, multidegrees order
-    lexicographically by exponent vector."""
+    lexicographically by exponent vector.  The hash is that of the
+    exponents: equal multidegrees have equal exponents."""
 
     variables: VariableSet
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if len(self.exponents) != len(self.variables):
+        exponents = self.exponents
+        if type(exponents) is not tuple:
+            exponents = tuple(exponents)
+            object.__setattr__(self, "exponents", exponents)
+        if len(exponents) != len(self.variables.names):
             raise ValueError(
-                f"expected {len(self.variables)} exponents, got {len(self.exponents)}"
+                f"expected {len(self.variables.names)} exponents, got {len(exponents)}"
             )
-        if min(self.exponents, default=0) < 0:
-            raise ValueError(f"negative exponent in {self.exponents}")
+        if exponents and min(exponents) < 0:
+            raise ValueError(f"negative exponent in {exponents}")
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
 
     def degree(self) -> int:
         return sum(self.exponents)

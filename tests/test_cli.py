@@ -588,6 +588,28 @@ class TestVerifyCommand:
         assert "PASS restriction n=7" in out.splitlines()
         assert out.splitlines()[-1] == '{"checks": 11, "failures": 0}'
 
+    @pytest.mark.parametrize("n_max", ["101", "100000000000000000000"])
+    def test_n_max_is_guarded(self, capsys, monkeypatch, n_max):
+        # the identity check takes seconds at 200, so nothing above 100 runs
+        def refuse(*args):
+            raise AssertionError("a check ran past the --n-max guard")
+
+        for name in (
+            "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
+            "check_restriction", "check_binomial_identity",
+        ):
+            monkeypatch.setattr(checks, name, refuse)
+        assert run(capsys, "verify", "--n", "2", "--n-max", n_max) == (
+            EXIT_USAGE, "", f"error: the identity check is guarded at --n-max <= 100, got {n_max}\n"
+        )
+
+    def test_guard_admits_n_max_100(self, capsys, monkeypatch):
+        for name in ("check_formula_vs_oracle", "check_restriction", "check_binomial_identity"):
+            monkeypatch.setattr(checks, name, lambda *args: [])
+        code, out, err = run(capsys, "verify", "--n", "2", "--n-max", "100")
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[-2] == "PASS binomial-identity n<=100"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -619,6 +641,38 @@ class TestVerifyCommand:
 def test_shape_rule_messages(capsys, argv, message):
     # the crown rule and the weight rule are read from graphs, message and all
     assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,vertices",
+    [
+        (("crown", "--n", "100000000000000000000", "--mode", "formula"),
+         200000000000000000000),
+        (("family", "crown", "--params", "100000000000000000000"), 200000000000000000000),
+        (("family", "complete-bipartite", "--params", "100000000000000000000,2"),
+         100000000000000000002),
+        (("family", "complete-bipartite", "--params", "50000,50001"), 100001),
+    ],
+    ids=["crown", "family-crown", "family-complete-bipartite", "one-past-the-cap"],
+)
+def test_shapes_past_the_vertex_cap_exit_2(capsys, monkeypatch, argv, vertices):
+    # refused before any weight tuple, variable name or table is built
+    from crownbetti import cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shape past the cap was computed")
+
+    for name in ("family_top_betti", "shape_graded_formula", "shape_entry_count"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    assert run(capsys, *argv) == (
+        EXIT_USAGE, "", f"error: the shape has {vertices} vertices, above the cap of 100000\n"
+    )
+
+
+def test_shape_at_the_vertex_cap_answers(capsys):
+    code, out, err = run(capsys, "family", "complete-bipartite", "--params", "50000,50000")
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[0] == "pdim: 99998"
 
 
 # each option that reads integers, with its text holding V and the part the

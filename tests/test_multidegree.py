@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import re
 
 import pytest
@@ -11,6 +14,7 @@ from crownbetti import (
     lcm,
     xy_variables,
 )
+from crownbetti.multidegree import _xy_variables
 
 V2 = VariableSet(("x", "y"))
 
@@ -131,3 +135,42 @@ def test_wrong_length_rejected():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         VariableSet(("x", "x"))
+
+
+class TestValueContract:
+    def test_list_exponents_stored_as_tuple(self):
+        a = Multidegree(V2, [1, 2])
+        assert type(a.exponents) is tuple and a.exponents == (1, 2)
+        exponents = (1, 2)
+        assert Multidegree(V2, exponents).exponents is exponents
+
+    def test_equal_multidegrees_hash_equal(self):
+        a, b = Multidegree(V2, (1, 2)), Multidegree(VariableSet(("x", "y")), [1, 2])
+        assert a == b and hash(a) == hash(b) == hash((1, 2))
+
+    def test_slotted(self):
+        assert not hasattr(m(1, 2), "__dict__")
+
+    def test_same_exponents_over_two_variable_sets_are_two_keys(self):
+        a, b = Multidegree(V2, (1, 2)), VariableSet(("a", "b")).monomial((1, 2))
+        assert a != b
+        assert len({a: 1, b: 2}) == 2
+
+    def test_fields_are_frozen(self):
+        a = m(1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.exponents = (0, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.variables = V2
+
+    @pytest.mark.parametrize(
+        "clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_copies_are_equal(self, clone):
+        a = xy_variables(2).from_dict({"x1": 1, "y2": 3})
+        b = clone(a)
+        assert b == a and hash(b) == hash(a) and b is not a
+
+    def test_each_shape_shares_one_variable_set(self):
+        assert _xy_variables(3, 2) is _xy_variables(3, 2)
+        assert xy_variables(4) is _xy_variables(4, 4)
