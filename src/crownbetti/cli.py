@@ -14,11 +14,11 @@ Exit codes: 0 success, 2 usage or parse error, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Optional, Sequence
 
-from . import checks
 from .formulas import (
     family_top_betti,
     shape_betti_formula,
@@ -117,7 +117,8 @@ def _check_options(args, no_oracle: str = "", table: bool = True) -> None:
 
 def _emit(table: BettiTable, args) -> None:
     if args.output == "json":
-        print(json.dumps(table_to_json_dict(table), sort_keys=True))
+        # the dict is built here from ints, lists and tuples: it holds no cycle
+        print(json.dumps(table_to_json_dict(table), sort_keys=True, check_circular=False))
     else:
         print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
 
@@ -134,9 +135,12 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
     if mode != "oracle":
         count = shape_entry_count(*shape, weights)
         if count > MAX_LISTED_ENTRIES:
+            # str(int) writes at most 4300 digits: past about 14,000 vertices,
+            # the count is shown by the power of 2 below it
+            shown = count if count.bit_length() <= 10**4 else f"at least 2^{count.bit_length() - 1}"
             # only crown takes --mode and --output
             raise UsageError(
-                f"the formula table has {count} multigraded entries, above the cap of "
+                f"the formula table has {shown} multigraded entries, above the cap of "
                 f"{MAX_LISTED_ENTRIES}" + (
                     "; --mode formula without --output json or --multigraded counts the "
                     "graded numbers instead" if args.command == "crown" else ""
@@ -259,6 +263,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks  # only verify runs the checks: other commands never compile them
+
     field = _parse_field(args.field)
     bounds = _parse_ints(args.n, "bad range {!r}; expected N or LO..HI", "..", maxsplit=1)
     lo, hi = bounds[0], bounds[-1]
@@ -351,11 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command's tables are many small acyclic containers that the cyclic
+    # collector would walk again and again; it is back on when the command ends
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -156,9 +156,13 @@ def shape_graded_formula(
 
 def shape_entry_count(m: int, s: int, t: int, weights: Sequence[int]) -> int:
     """Number of nonzero entries of shape_betti_formula(m, s, t, weights),
-    counted without listing them: distinct selections have distinct
-    theta(G[W]), so each counted selection is one entry."""
-    return sum(count for _, _, _, count in _entry_states(m, s, t, weights))
+    independent of the weights: distinct selections have distinct
+    theta(G[W]), so it counts the selections that carry an entry.  Each
+    r <= m gives none, xr, yr or both, and 4^m - m 3^(m-1) of those choices
+    do not hold exactly one pair; each further vertex is in or out; and the
+    selections on one side alone (2^s + 2^t - 1 of them) carry none."""
+    _check_shape(m, s, t, weights)
+    return 2 ** (s + t - 2 * m) * (4**m - m * 3 ** max(m - 1, 0)) - 2**s - 2**t + 1
 
 
 def multigraded_betti_formula(n: int, weights: Sequence[int]) -> BettiTable:

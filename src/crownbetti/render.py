@@ -72,15 +72,16 @@ def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
         "reg": reg,
         "total": totals,
         "graded": [[i, j, c] for (i, j), c in sorted(graded.items())],
-        # plain rows sort by (i, exponents) in C, far faster than Multidegrees
-        "multigraded": sorted(
-            [i, list(a.exponents), c] for (i, a), c in table.entries.items()
-        ),
+        # plain rows sort by (i, exponents) in C, far faster than Multidegrees;
+        # each row shares its entry's exponent tuple, and json writes a tuple
+        # as an array
+        "multigraded": sorted((i, a.exponents, c) for (i, a), c in table.entries.items()),
     }
 
 
 def table_from_json_dict(data: dict[str, Any], variables) -> BettiTable:
-    """Inverse of table_to_json_dict over a known variable set."""
+    """Inverse of table_to_json_dict over a known variable set; its rows may
+    be tuples or, as json.loads reads them, lists."""
     entries = {
         (i, Multidegree(variables, tuple(exps))): c
         for i, exps, c in data["multigraded"]

@@ -1,7 +1,10 @@
+import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from crownbetti import (
     report_text,
     shape_betti_formula,
     table_from_json_dict,
+    table_to_json_dict,
     total_betti_closed_form,
     xy_variables,
 )
@@ -32,15 +36,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_loads_no_numpy():
+def _import_cli_and_list(modules):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    code = f"import sys, crownbetti.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, crownbetti.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_numpy():
+    assert _import_cli_and_list({"numpy"}) == "[]"
+
+
+def test_cli_import_compiles_no_checks():
+    # only verify runs the checks, so the other commands never compile them
+    assert _import_cli_and_list({"crownbetti.checks"}) == "[]"
 
 
 class TestCrownCommand:
@@ -398,6 +412,18 @@ class TestFamilyCommand:
             "1000000\n"
         )
 
+    def test_oracle_far_past_the_listing_cap_exits_within_a_second(self, capsys):
+        # the entry count is a closed form; a count longer than str(int) writes
+        # is shown by the power of 2 below it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "family", "crown", "--params", "50000", "--oracle")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: the formula table has at least 2^99999 multigraded entries, above the cap "
+            "of 1000000\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -737,3 +763,98 @@ class TestJsonSchema:
         table = multigraded_betti(edge_ideal(crown(3, (2, 1, 1))))
         assert data["total"] == table.total_sequence()
         assert table_from_json_dict(data, xy_variables(3)) == table
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector off; main restores it."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    @pytest.fixture
+    def command(self, monkeypatch):
+        from crownbetti import cli as cli_module
+
+        seen = []
+
+        def recording(args):
+            seen.append(gc.isenabled())
+            return EXIT_OK
+
+        monkeypatch.setattr(cli_module, "cmd_crown", recording)
+        return seen
+
+    def test_collector_is_off_inside_a_command(self, capsys, command):
+        assert run(capsys, "crown", "--n", "3") == (EXIT_OK, "", "")
+        assert command == [False]
+        assert gc.isenabled()
+
+    def test_collector_is_on_after_a_command(self, capsys):
+        assert run(capsys, "crown", "--n", "3", "--mode", "formula")[0] == EXIT_OK
+        assert gc.isenabled()
+
+    def test_collector_is_on_after_a_usage_error(self, capsys):
+        assert run(capsys, "crown", "--n", "1")[0] == EXIT_USAGE
+        assert gc.isenabled()
+
+    def test_collector_is_on_after_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["crown", "--no-such-option"])
+        capsys.readouterr()
+        assert gc.isenabled()
+
+    def test_collector_is_on_after_an_exception_in_a_command(self, monkeypatch):
+        from crownbetti import cli as cli_module
+
+        def failing(args):
+            raise RuntimeError("inside the command")
+
+        monkeypatch.setattr(cli_module, "cmd_crown", failing)
+        with pytest.raises(RuntimeError, match="inside the command"):
+            main(["crown", "--n", "3"])
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, capsys, command):
+        gc.disable()
+        assert run(capsys, "crown", "--n", "3") == (EXIT_OK, "", "")
+        assert command == [False]
+        assert not gc.isenabled()
+
+
+# sha256 of the stdout of three JSON listings: how a listing is built may
+# change, its bytes may not
+GRAPH_DOCUMENT = {
+    "vertices": ["a", "b", "c", "d", "e"],
+    "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"], ["a", "c"]],
+    "weights": {"b": 2, "c": 3, "e": 2},
+}
+PINNED_STDOUT = {
+    ("crown", "--n", "6", "--weights", "1,2,3,1,2,3", "--mode", "formula", "--output", "json"):
+        "19be5e425dd12fdb8aef352175924a6cd664aebbe2ae6b843847393779991a2c",
+    ("crown", "--n", "5", "--mode", "oracle", "--output", "json", "--field", "0"):
+        "c7020a80339a8e17ff3a83fbccea17f277a6265e56609973bbbd94af0815bad2",
+    ("graph", "DOC", "--output", "json"):
+        "00fb675e35999ef4b84883ce93013afa41d65e8feb61f02e1e4c0cc5c94e8034",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=["crown-formula", "crown-oracle", "graph"])
+def test_json_output_is_pinned(capsys, tmp_path, argv):
+    doc = tmp_path / "graph.json"
+    doc.write_text(json.dumps(GRAPH_DOCUMENT))
+    code, out, err = run(capsys, *(str(doc) if a == "DOC" else a for a in argv))
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_json_rows_share_the_exponent_tuples():
+    table = multigraded_betti_formula(4, (1, 2, 3, 1))
+    data = table_to_json_dict(table)
+    exponents = {id(a.exponents) for _, a in table.entries}
+    assert all(type(row) is tuple and id(row[1]) in exponents for row in data["multigraded"])
+    # the table comes back from the tuple rows and from the lists json reads
+    assert table_from_json_dict(data, xy_variables(4)) == table
+    assert table_from_json_dict(json.loads(json.dumps(data)), xy_variables(4)) == table

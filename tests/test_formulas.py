@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from collections import defaultdict
 
@@ -28,6 +29,7 @@ from crownbetti import (
     unbalanced_crown,
     xy_variables,
 )
+from crownbetti.formulas import _entry_states
 from crownbetti.graphs import _xy_graph
 
 
@@ -255,6 +257,31 @@ class TestGradedFormula:
 def test_entry_count_is_table_size(shape):
     weights = tuple(range(1, shape[2] + 1))
     assert shape_entry_count(*shape, weights) == len(shape_betti_formula(*shape, weights).entries)
+
+
+def test_closed_entry_count_is_the_counted_one():
+    # the closed form against the selections counted by the DP, at random
+    # weights, on every admissible shape (m, s, t) with s + t <= 12
+    rng = random.Random(7)
+    shapes = [
+        (m, s, t)
+        for s in range(1, 12)
+        for t in range(1, 13 - s)
+        for m in range(min(s, t) + 1)
+        if (m, s, t) != (1, 1, 1)
+    ]
+    assert len(shapes) == 226
+    for m, s, t in shapes:
+        weights = tuple(rng.randint(1, 4) for _ in range(t))
+        counted = sum(count for _, _, _, count in _entry_states(m, s, t, weights))
+        assert shape_entry_count(m, s, t, weights) == counted, (m, s, t, weights)
+
+
+def test_closed_entry_count_checks_the_shape():
+    with pytest.raises(ValueError, match="expected 3 weights"):
+        shape_entry_count(3, 3, 3, (1, 1))
+    with pytest.raises(ValueError, match="no edges"):
+        shape_entry_count(1, 1, 1, (1,))
 
 
 def test_entry_count_keeps_n10_under_the_listing_cap():
