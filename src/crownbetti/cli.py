@@ -20,6 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .formulas import (
+    _formula_entries,
     family_top_betti,
     shape_betti_formula,
     shape_entry_count,
@@ -35,7 +36,7 @@ from .graphs import (
 )
 from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
 from .multidegree import VariableSet
-from .render import graded_report, report_text, table_to_json_dict
+from .render import _json_dict, _text_report, _write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,12 +116,12 @@ def _check_options(args, no_oracle: str = "", table: bool = True) -> None:
         raise UsageError("--raw applies to the text report, not to --output json")
 
 
-def _emit(table: BettiTable, args) -> None:
+def _emit(graded: dict[tuple[int, int], int], entries, args) -> None:
+    """Print the report of graded numbers `graded` and entries ((i, a), c)."""
     if args.output == "json":
-        # the dict is built here from ints, lists and tuples: it holds no cycle
-        print(json.dumps(table_to_json_dict(table), sort_keys=True, check_circular=False))
+        _write_json(_json_dict(graded, entries), sys.stdout)
     else:
-        print(report_text(table, multigraded=args.multigraded, raw=args.raw), end="")
+        print(_text_report(graded, entries, args.multigraded, args.raw), end="")
 
 
 def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = "") -> int:
@@ -128,11 +129,7 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
     `weights` by `mode` (formula, oracle, or both compared); the exit code.
     A closed form is listed only under the cap; a mismatch prints only `head`."""
     field = _parse_field(args.field)
-    if mode == "formula" and args.output == "text" and not args.multigraded:
-        # the report shows graded numbers only: count them, list no entry
-        print(head + graded_report(shape_graded_formula(*shape, weights), raw=args.raw), end="")
-        return EXIT_OK
-    if mode != "oracle":
+    if mode == "both" or mode == "formula" and (args.output == "json" or args.multigraded):
         count = shape_entry_count(*shape, weights)
         if count > MAX_LISTED_ENTRIES:
             # str(int) writes at most 4300 digits: past about 14,000 vertices,
@@ -146,13 +143,17 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
                     "graded numbers instead" if args.command == "crown" else ""
                 )
             )
-    table = formula = shape_betti_formula(*shape, weights) if mode != "oracle" else None
-    if mode != "formula":
-        table = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
+    if mode == "formula":
+        # the graded numbers are counted and the entries listed: no table is built
+        print(head, end="")
+        _emit(shape_graded_formula(*shape, weights), _formula_entries(*shape, weights), args)
+        return EXIT_OK
+    formula = shape_betti_formula(*shape, weights) if mode == "both" else None
+    table = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
     print(head, end="")
     if mode == "both" and table != formula:
         return _report_mismatch(table, formula)
-    _emit(table, args)
+    _emit(table.graded(), table.entries.items(), args)
     return EXIT_OK
 
 
@@ -244,7 +245,7 @@ def cmd_graph(args) -> int:
         raise UsageError("empty edge ideal: the graph has no edges")
     field = _parse_field(args.field)
     table = multigraded_betti(ideal, field)
-    _emit(table, args)
+    _emit(table.graded(), table.entries.items(), args)
     return EXIT_OK
 
 

@@ -87,22 +87,25 @@ def enumerate_M(m: int, s: int, t: int, weights: Sequence[int], i: int) -> froze
     return frozenset(Multidegree(variables, e) for e in _selections(m, s, t, weights, 0, i + 2))
 
 
-def shape_betti_formula(m: int, s: int, t: int, weights: Sequence[int]) -> BettiTable:
-    """Predicted multigraded Betti table of the edge ideal of the shape
-    (m, s, t) with y-weights `weights`: one entry (i, theta(G[W])) per
-    vertex set W with no isolated vertex, valued by the top entry of G[W].
-    The one-pair sets are left out: their top value is 0."""
+def _formula_entries(m: int, s: int, t: int, weights: Sequence[int]) -> Iterator[tuple]:
+    """The entries ((i, theta(G[W])), value) of the shape (m, s, t), one per vertex set
+    W with no isolated vertex and not one missing pair, valued by the top entry of G[W]."""
     _check_shape(m, s, t, weights)
-    entries: dict[tuple[int, Multidegree], int] = {}
     for i in range(s + t - 1):  # a vertex set W reaches index |W| - 2 at most
         for k in range(2, m + 1):
             _, value = _top_entry(k, i + 3)
             for a in enumerate_N(m, s, t, weights, i, k):
-                entries[i, a] = value
+                yield (i, a), value
         _, value = _top_entry(0, i + 2)
         for a in enumerate_M(m, s, t, weights, i):
-            entries[i, a] = value
-    return BettiTable(_xy_variables(s, t), entries)
+            yield (i, a), value
+
+
+def shape_betti_formula(m: int, s: int, t: int, weights: Sequence[int]) -> BettiTable:
+    """Predicted multigraded Betti table of the edge ideal of the shape
+    (m, s, t) with y-weights `weights`: the entries of _formula_entries."""
+    _check_shape(m, s, t, weights)
+    return BettiTable(_xy_variables(s, t), dict(_formula_entries(m, s, t, weights)))
 
 
 def _entry_states(

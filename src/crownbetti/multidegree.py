@@ -4,9 +4,9 @@ A multidegree doubles as a monomial: the vector (2, 0, 1) over variables
 (x, y, z) is the monomial x^2*z.  All ideal-level machinery in this
 package is built on componentwise arithmetic of these vectors.
 
-A Betti table holds one multidegree per entry, about 3^n for a crown on
-n pairs, so the type is kept cheap: it is slotted, it hashes by its
-exponents alone (equal multidegrees have equal exponents), and each shape
+A Betti table holds one multidegree per entry, about 3^n for a crown on n
+pairs, so the type is kept cheap: it is slotted, its __init__ sets both slots
+through their descriptors, it hashes by its exponents alone, and each shape
 (s, t) shares one immutable variable set x1..xs, y1..yt, so comparing the
 variable sets of two entries of one table is an identity test.
 """
@@ -79,7 +79,7 @@ def xy_variables(n: int) -> VariableSet:
     return _xy_variables(n, n)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(init=False, frozen=True, order=True, slots=True)
 class Multidegree:
     """Nonnegative exponent vector over a VariableSet; identified with
     the monomial it encodes.  Over one variable set, multidegrees order
@@ -89,17 +89,14 @@ class Multidegree:
     variables: VariableSet
     exponents: tuple[int, ...]
 
-    def __post_init__(self):
-        exponents = self.exponents
-        if type(exponents) is not tuple:
-            exponents = tuple(exponents)
-            object.__setattr__(self, "exponents", exponents)
-        if len(exponents) != len(self.variables.names):
-            raise ValueError(
-                f"expected {len(self.variables.names)} exponents, got {len(exponents)}"
-            )
+    def __init__(self, variables: VariableSet, exponents: Sequence[int]):
+        exponents = tuple(exponents)  # a tuple is returned as it is
+        if len(exponents) != len(variables.names):
+            raise ValueError(f"expected {len(variables.names)} exponents, got {len(exponents)}")
         if exponents and min(exponents) < 0:
             raise ValueError(f"negative exponent in {exponents}")
+        _set_variables(self, variables)
+        _set_exponents(self, exponents)
 
     def __hash__(self) -> int:
         return hash(self.exponents)
@@ -133,6 +130,9 @@ class Multidegree:
             elif e > 1:
                 parts.append(f"{v}^{e}")
         return "*".join(parts)
+
+
+_set_variables, _set_exponents = Multidegree.variables.__set__, Multidegree.exponents.__set__
 
 
 def _check_same_variables(a: Multidegree, b: Multidegree) -> None:

@@ -9,7 +9,8 @@ rule BettiTable's own aggregates read.
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import Any, TextIO
 
 from .homology import BettiTable, _graded_summary
 from .multidegree import Multidegree
@@ -54,29 +55,49 @@ def graded_report(graded: dict[tuple[int, int], int], raw: bool = False) -> str:
     return "\n".join(parts) + "\n"
 
 
-def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False) -> str:
-    """graded_report of the table; with `multigraded`, then one line per
-    entry: homological index, monomial, multiplicity."""
-    text = graded_report(table.graded(), raw)
+def _text_report(graded: dict[tuple[int, int], int], entries, multigraded: bool, raw: bool) -> str:
+    """graded_report, then with `multigraded` one line "i  a  c" per entry ((i, a), c)."""
+    text = graded_report(graded, raw)
     if multigraded:
-        items = sorted(table.entries.items())
+        # keyed by (i, exponents): tuples compare in C, far faster than Multidegrees
+        items = sorted(entries, key=lambda e: (e[0][0], e[0][1].exponents))
         text += "\n" + "\n".join(f"{i}  {a}  {c}" for (i, a), c in items) + "\n"
     return text
 
 
-def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
-    graded = table.graded()
+def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False) -> str:
+    """graded_report of the table, then with `multigraded` one line "i  a  c" per entry."""
+    return _text_report(table.graded(), table.entries.items(), multigraded, raw)
+
+
+def _json_dict(graded: dict[tuple[int, int], int], entries) -> dict[str, Any]:
+    """The JSON document of graded numbers `graded` and entries ((i, a), c)."""
     pdim, reg, totals = _graded_summary(graded)
     return {
         "pdim": pdim,
         "reg": reg,
         "total": totals,
         "graded": [[i, j, c] for (i, j), c in sorted(graded.items())],
-        # plain rows sort by (i, exponents) in C, far faster than Multidegrees;
-        # each row shares its entry's exponent tuple, and json writes a tuple
-        # as an array
-        "multigraded": sorted((i, a.exponents, c) for (i, a), c in table.entries.items()),
+        # plain rows sort in C; each shares its entry's exponent tuple, and
+        # json writes a tuple as an array
+        "multigraded": sorted((i, a.exponents, c) for (i, a), c in entries),
     }
+
+
+def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
+    return _json_dict(table.graded(), table.entries.items())
+
+
+def _write_json(doc: dict[str, Any], out: TextIO) -> None:
+    """Write json.dumps(doc, sort_keys=True) and a newline to `out`, with the
+    rows encoded 4096 at a time by the one-shot C encoder, not as one string."""
+    encode = json.JSONEncoder(check_circular=False, sort_keys=True).encode  # no cycle
+    rows = doc["multigraded"]
+    head, tail = encode({**doc, "multigraded": []}).split('"multigraded": []')
+    out.write(head + '"multigraded": [')
+    for k in range(0, len(rows), 4096):
+        out.write((", " if k else "") + encode(rows[k : k + 4096])[1:-1])
+    out.write("]" + tail + "\n")
 
 
 def table_from_json_dict(data: dict[str, Any], variables) -> BettiTable:

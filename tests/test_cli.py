@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -119,6 +120,41 @@ class TestCrownCommand:
             code, out, _ = run(capsys, "crown", "--n", "7", "--mode", "formula", *extra)
             assert code == EXIT_OK and out.startswith("pdim: 11\n")
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_formula_listing_matches_table_reports(self, capsys, n):
+        # the listing writes its rows without a table; n = 7 has 11,026 rows,
+        # so its JSON document is written in several slices
+        rows = checks.default_weight_matrix(n) + [(10**9,) + (1,) * (n - 1)]
+        for w in rows:
+            table = multigraded_betti_formula(n, w)
+            argv = ("crown", "--n", str(n), "--weights", ",".join(map(str, w)), "--mode", "formula")
+            expected = json.dumps(table_to_json_dict(table), sort_keys=True) + "\n"
+            assert run(capsys, *argv, "--output", "json") == (EXIT_OK, expected, "")
+            for raw in ((), ("--raw",)):
+                expected = report_text(table, multigraded=True, raw=bool(raw))
+                assert run(capsys, *argv, "--multigraded", *raw) == (EXIT_OK, expected, "")
+
+    def test_formula_listing_builds_no_table(self, capsys, monkeypatch):
+        import crownbetti.cli as cli_module
+        import crownbetti.formulas as formulas_module
+
+        argv = ("crown", "--n", "5", "--weights", "1,2,3,1,2", "--mode", "formula")
+        table = multigraded_betti_formula(5, (1, 2, 3, 1, 2))
+        expected = {
+            ("--output", "json"): json.dumps(table_to_json_dict(table), sort_keys=True) + "\n",
+            ("--multigraded",): report_text(table, multigraded=True),
+            ("--multigraded", "--raw"): report_text(table, multigraded=True, raw=True),
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the listing built or summed a table")
+
+        monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
+        monkeypatch.setattr(formulas_module, "BettiTable", refuse)
+        monkeypatch.setattr(BettiTable, "graded", refuse)
+        for extra, out in expected.items():
+            assert run(capsys, *argv, *extra) == (EXIT_OK, out, "")
+
     def test_formula_text_at_n30(self, capsys):
         code, out, _ = run(capsys, "crown", "--n", "30", "--mode", "formula")
         assert code == EXIT_OK
@@ -145,6 +181,7 @@ class TestCrownCommand:
             raise AssertionError("the table was listed or computed")
 
         monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
+        monkeypatch.setattr(cli_module, "_formula_entries", refuse)
         monkeypatch.setattr(cli_module, "multigraded_betti", refuse)
         code, out, err = run(capsys, "crown", "--n", "11", *extra)
         assert code == EXIT_USAGE and out == ""
@@ -763,6 +800,35 @@ class TestJsonSchema:
         table = multigraded_betti(edge_ideal(crown(3, (2, 1, 1))))
         assert data["total"] == table.total_sequence()
         assert table_from_json_dict(data, xy_variables(3)) == table
+
+
+@pytest.mark.parametrize("source", ["oracle", "formula"])
+def test_multigraded_lines_follow_the_table_order(source):
+    # the lines are sorted by (i, exponents), the order of the entries' keys
+    w = (1, 2, 3, 1)
+    if source == "oracle":
+        table = multigraded_betti(edge_ideal(crown(4, w)))
+    else:
+        table = multigraded_betti_formula(4, w)
+    lines = report_text(table, multigraded=True).split("\n\n", 2)[2].splitlines()
+    assert lines == [f"{i}  {a}  {c}" for (i, a), c in sorted(table.entries.items())]
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
+def test_json_writer_matches_one_shot_dumps(count):
+    # the rows are encoded a slice of 4096 at a time; the bytes are json.dumps'
+    from crownbetti.render import _write_json
+
+    doc = {
+        "total": [1, 2],
+        "multigraded": [(k % 3, (k, 0, 10**9), 1 + k % 2) for k in range(count)],
+        "pdim": 1,
+        "graded": [[0, 1, 1], [1, 3, 2]],
+        "reg": 2,
+    }
+    out = io.StringIO()
+    _write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
 
 
 class TestCollectorPause:

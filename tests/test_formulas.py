@@ -29,7 +29,7 @@ from crownbetti import (
     unbalanced_crown,
     xy_variables,
 )
-from crownbetti.formulas import _entry_states
+from crownbetti.formulas import _entry_states, _formula_entries
 from crownbetti.graphs import _xy_graph
 
 
@@ -275,6 +275,39 @@ def test_closed_entry_count_is_the_counted_one():
         weights = tuple(rng.randint(1, 4) for _ in range(t))
         counted = sum(count for _, _, _, count in _entry_states(m, s, t, weights))
         assert shape_entry_count(m, s, t, weights) == counted, (m, s, t, weights)
+
+
+def test_listing_is_the_table_and_adds_up_to_the_counted_numbers():
+    # the one listing walk, which shape_betti_formula and the CLI's listings
+    # read, on every admissible shape (m, s, t) with s + t <= 9, m = 0 too:
+    # one entry per selection, the table's entries, and, summed by degree,
+    # the graded numbers the CLI counts beside it
+    rng = random.Random(11)
+    shapes = [
+        (m, s, t)
+        for s in range(1, 9)
+        for t in range(1, 10 - s)
+        for m in range(min(s, t) + 1)
+        if (m, s, t) != (1, 1, 1)
+    ]
+    assert len(shapes) == 105 and (0, 4, 5) in shapes
+    for m, s, t in shapes:
+        weights = tuple(rng.randint(1, 4) for _ in range(t))
+        listed = list(_formula_entries(m, s, t, weights))
+        entries = dict(listed)
+        assert len(entries) == len(listed) == shape_entry_count(m, s, t, weights)
+        assert entries == shape_betti_formula(m, s, t, weights).entries, (m, s, t)
+        graded = defaultdict(int)
+        for (i, a), c in listed:
+            graded[i, a.degree()] += c
+        assert graded == shape_graded_formula(m, s, t, weights), (m, s, t)
+
+
+def test_listing_checks_the_shape():
+    with pytest.raises(ValueError, match="expected 3 weights"):
+        list(_formula_entries(3, 3, 3, (1, 1)))
+    with pytest.raises(ValueError, match="no edges"):
+        list(_formula_entries(1, 1, 1, (1,)))
 
 
 def test_closed_entry_count_checks_the_shape():
