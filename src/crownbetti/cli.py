@@ -42,8 +42,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-# the most multigraded entries a crown formula table may list: the table
-# has about 3^n, 849,699 at n = 10 and 3,540,670 at n = 11
+# the most multigraded entries a shape's table may list or compute: a crown
+# table has about 3^n, 849,699 at n = 10 and 3,540,670 at n = 11
 MAX_LISTED_ENTRIES = 10**6
 # the most vertices s + t a shape may have: family answers at the cap in
 # about 0.2 s (shared 2-core host), and no weight tuple or variable name is
@@ -127,9 +127,9 @@ def _emit(graded: dict[tuple[int, int], int], entries, args) -> None:
 def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = "") -> int:
     """Print `head` and the report of the shape (m, s, t) with y-weights
     `weights` by `mode` (formula, oracle, or both compared); the exit code.
-    A closed form is listed only under the cap; a mismatch prints only `head`."""
+    A table is listed or computed only under the cap; a mismatch prints only `head`."""
     field = _parse_field(args.field)
-    if mode == "both" or mode == "formula" and (args.output == "json" or args.multigraded):
+    if mode != "formula" or args.output == "json" or args.multigraded:
         count = shape_entry_count(*shape, weights)
         if count > MAX_LISTED_ENTRIES:
             # str(int) writes at most 4300 digits: past about 14,000 vertices,

@@ -13,20 +13,24 @@ every k with g_k = a_k, so the faces at a are the submasks of the facets
 F_g = {k in supp(a) : g_k < a_k} over the generators g dividing x^a.
 The homology at a is therefore fixed by its key, the sorted maximal
 facets, and many lattice points share one.  multigraded_betti keeps a
-memo from key to ranks for the length of one call, so each distinct
-complex has its homology computed once.
+memo from key to ranks for the length of one call.
 
-A memo miss never lists the faces of the complex itself.  It first takes
-the strong-collapse core (Barmak-Minian): while some vertex v has another
-vertex w in every maximal facet that contains v, v is deleted, which keeps
-the homotopy type.  A core with one facet is a cone, or {Ø} when that
-facet is empty.  Otherwise, on the N vertices of the core, it lists the
-Alexander dual instead: the sets that contain no tight set, the
-complement of a core facet.  Then H~_i(K) has the rank of H~_{N-i-3} of
-the dual over any field (Miller-Sturmfels, Thm 5.6).  A complex and its
-dual have 2^N faces between them, so the listing stops once the dual
-passes 2^(N-1) faces and the core's own faces are reduced instead: either
-way at most half the box is reduced.
+A memo miss never lists the faces of the complex itself.  When the AND
+of the maximal facets is nonzero, they share a vertex and the complex is
+a cone, with no homology.  Otherwise the miss takes the strong-collapse
+core (Barmak-Minian): while some vertex v has another vertex w in every
+maximal facet that contains v, v is deleted, which keeps the homotopy
+type.  A core with one facet is a cone, or {Ø} when that facet is empty.
+Many keys collapse to the same complex, so a core with more facets has
+its N vertices moved, in order, onto bits 0..N-1, and a second memo of
+the same call maps that relabelled core to its ranks.  So each distinct
+core is reduced once per call.  On a miss there, on the N vertices of
+the core, it lists the Alexander dual instead: the sets that contain no
+tight set, the complement of a core facet.  Then H~_i(K) has the rank of
+H~_{N-i-3} of the dual over any field (Miller-Sturmfels, Thm 5.6).  A
+complex and its dual have 2^N faces between them, so the listing stops
+once the dual passes 2^(N-1) faces and the core's own faces are reduced
+instead: either way at most half the box is reduced.
 
 Homology comes from a reduction of the boundary matrices from the top
 dimension down with clearing (Chen-Kerber's twist): a face that is a
@@ -319,11 +323,22 @@ def _ranks(masks: Iterable[int], field: FieldSpec) -> dict[int, int]:
     return ranks
 
 
-def _facet_ranks(facets: Sequence[int], field: FieldSpec) -> dict[int, int]:
+def _facet_ranks(
+    facets: Sequence[int],
+    field: FieldSpec,
+    cores: Optional[dict[tuple[int, ...], dict[int, int]]] = None,
+) -> dict[int, int]:
     """Reduced homology ranks of the complex whose maximal facets are
     ``facets`` (none: the void complex), from the smaller of its core's
-    face set and the core's Alexander dual; see the module docstring."""
-    if not facets:
+    face set and the core's Alexander dual; see the module docstring.
+
+    ``cores`` maps a core relabelled onto bits 0..N-1 to its ranks; the
+    caller shares one dict across the keys of one table (a fresh one
+    when it is omitted)."""
+    common = -1
+    for facet in facets:
+        common &= facet
+    if common:  # the facets share a vertex (a cone), or there are none (void)
         return {}
     core = _strong_core(facets)
     if len(core) == 1:
@@ -332,10 +347,36 @@ def _facet_ranks(facets: Sequence[int], field: FieldSpec) -> dict[int, int]:
     for facet in core:
         support |= facet
     n = support.bit_count()
-    dual = _dual_faces(support, core, 1 << (n - 1))
-    if dual is None:
-        return _ranks(_submasks(core), field)
-    return {n - j - 3: r for j, r in _ranks(dual, field).items()}
+    full = (1 << n) - 1
+    if support != full:
+        core = _relabel(core, support)
+    key = tuple(core)
+    if cores is None:
+        cores = {}
+    ranks = cores.get(key)
+    if ranks is None:
+        dual = _dual_faces(full, core, 1 << (n - 1))
+        if dual is None:
+            ranks = _ranks(_submasks(core), field)
+        else:
+            ranks = {n - j - 3: r for j, r in _ranks(dual, field).items()}
+        cores[key] = ranks
+    return ranks
+
+
+def _relabel(masks: Sequence[int], support: int) -> list[int]:
+    """The masks with the vertices of ``support`` moved, in order, onto
+    bits 0..N-1; the map keeps the masks' numeric order."""
+    out = [0] * len(masks)
+    target = 1
+    while support:
+        bit = support & -support
+        support ^= bit
+        for j, mask in enumerate(masks):
+            if mask & bit:
+                out[j] |= target
+        target <<= 1
+    return out
 
 
 def _strong_core(facets: Sequence[int]) -> list[int]:
@@ -490,12 +531,13 @@ def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> B
         raise ValueError("Betti numbers computed only for nonzero, non-unit ideals")
     generators = _sparse_generators(ideal)
     memo: dict[tuple[int, ...], dict[int, int]] = {}
+    cores: dict[tuple[int, ...], dict[int, int]] = {}
     entries: dict[tuple[int, Multidegree], int] = {}
     for a in lcm_lattice(ideal):
         key = _facet_key(generators, a.exponents)
         ranks = memo.get(key)
         if ranks is None:
-            ranks = memo[key] = _facet_ranks(key, field)
+            ranks = memo[key] = _facet_ranks(key, field, cores)
         for d, r in ranks.items():
             entries[(d + 1, a)] = r
     return BettiTable(ideal.variables, entries)

@@ -171,7 +171,7 @@ class TestCrownCommand:
     @pytest.mark.parametrize(
         "extra",
         [("--mode", "formula", "--output", "json"), ("--mode", "formula", "--multigraded"),
-         ("--mode", "both")],
+         ("--mode", "both"), ("--mode", "oracle")],
     )
     def test_listing_over_the_cap_exits_at_once(self, capsys, monkeypatch, extra):
         # n = 11 has 3,540,670 entries: the count refuses before any listing

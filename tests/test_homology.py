@@ -9,6 +9,7 @@ from crownbetti import (
     FieldSpec,
     SimplicialComplexOnVars,
     VariableSet,
+    WeightedOrientedGraph,
     contains,
     crown,
     edge_ideal,
@@ -47,6 +48,19 @@ tables4 = st.dictionaries(
     min_size=1,
     max_size=12,
 ).map(lambda entries: BettiTable(V4, entries))
+
+
+NAMES6 = tuple(f"v{i}" for i in range(1, 7))
+
+
+@st.composite
+def graph_ideals6(draw):
+    """Edge ideals of weighted oriented graphs on six vertices: random
+    edges, each oriented at random, every vertex weighted in 1..3."""
+    pairs = draw(st.sets(st.sampled_from(list(itertools.combinations(NAMES6, 2))), min_size=1))
+    edges = frozenset(pair if draw(st.booleans()) else pair[::-1] for pair in sorted(pairs))
+    weights = draw(st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    return edge_ideal(WeightedOrientedGraph(VariableSet(NAMES6), edges, dict(zip(NAMES6, weights))))
 
 
 class TestUpperKoszul:
@@ -187,6 +201,16 @@ def full_box_table(ideal, field):
     return BettiTable(ideal.variables, entries)
 
 
+def lattice_table(ideal, field):
+    """The Betti table from the points of the lcm lattice, each complex
+    built and reduced afresh from its definition."""
+    entries = {}
+    for a in lcm_lattice(ideal):
+        for d, r in reduced_homology_ranks(upper_koszul_complex(ideal, a), field).items():
+            entries[(d + 1, a)] = r
+    return BettiTable(ideal.variables, entries)
+
+
 class TestMultigradedBetti:
     @pytest.mark.parametrize("w", [(1, 1), (3, 2)])
     def test_crown2_complete_intersection(self, w):
@@ -235,6 +259,14 @@ class TestMultigradedBetti:
     def test_memoised_table_matches_point_by_point(self, ideal, char):
         field = FieldSpec(char)
         assert multigraded_betti(ideal, field) == full_box_table(ideal, field)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_ideals6(), st.sampled_from([0, 2, 32003]))
+    def test_memoised_graph_table_matches_point_by_point(self, ideal, char):
+        # six vertices give keys that collapse to the same core and cones
+        # that skip the collapse, both within one call
+        field = FieldSpec(char)
+        assert multigraded_betti(ideal, field) == lattice_table(ideal, field)
 
     def test_alternating_sum_vanishes(self):
         for w in [(1, 1, 1), (2, 1, 3)]:
@@ -498,6 +530,58 @@ class TestFacetRanks:
         facets = masks_of([f + (6,) for f in FIVE_CYCLE])
         assert len(_strong_core(facets)) == 1
         assert _facet_ranks(facets, FieldSpec()) == {}
+
+    def test_cone_is_answered_before_the_collapse(self, monkeypatch):
+        def refuse(facets):
+            raise AssertionError("a cone was collapsed")
+
+        monkeypatch.setattr(homology, "_strong_core", refuse)
+        facets = masks_of([f + (6,) for f in FIVE_CYCLE])
+        assert _facet_ranks(facets, FieldSpec()) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 63), max_size=6),
+        st.lists(st.integers(0, 7), min_size=6, max_size=6, unique=True),
+        CHARACTERISTICS,
+    )
+    @example(masks_of(RP2_FACETS), [0, 2, 3, 4, 5, 7], 2)
+    @example(masks_of(FIVE_CYCLE), [1, 2, 4, 6, 7, 0], 0)
+    def test_spread_facets_match_primal_complex(self, sets, positions, char):
+        # facets over six vertices, spread onto six of eight bit positions
+        # (in order or not), so that the core's support has gaps; both
+        # complexes share one core memo, and the second may be answered
+        # from the first
+        facets = tuple(sorted(f for f in set(sets) if not any(f | g == g != f for g in sets)))
+        spread = tuple(sorted(
+            sum(1 << positions[k] for k in range(6) if f >> k & 1) for f in facets
+        ))
+        field, cores = FieldSpec(char), {}
+        expected = primal_ranks(facets, char)
+        assert _facet_ranks(facets, field, cores) == expected
+        assert _facet_ranks(spread, field, cores) == expected
+        assert primal_ranks(spread, char) == expected
+
+    def test_each_distinct_core_is_reduced_once_per_table(self, reduced_sizes):
+        # the oriented six-cycle v1 -> v2 -> ... -> v6 -> v1: 11 of its 16
+        # keys collapse to cores with more than one facet, and relabelled
+        # onto bits 0..N-1 those are 3 distinct complexes
+        edges = frozenset((NAMES6[k], NAMES6[(k + 1) % 6]) for k in range(6))
+        ideal = edge_ideal(WeightedOrientedGraph(VariableSet(NAMES6), edges, {}))
+        generators = homology._sparse_generators(ideal)
+        keys = {homology._facet_key(generators, a.exponents) for a in lcm_lattice(ideal)}
+        cores = [_strong_core(key) for key in keys if key]
+        cores = [core for core in cores if len(core) > 1]
+        relabelled = set()
+        for core in cores:
+            bits = sorted({k for facet in core for k in range(facet.bit_length()) if facet >> k & 1})
+            relabelled.add(tuple(
+                sum(1 << j for j, k in enumerate(bits) if facet >> k & 1) for facet in core
+            ))
+        assert (len(keys), len(cores), len(relabelled)) == (16, 11, 3)
+        table = multigraded_betti(ideal)
+        assert len(reduced_sizes) == 3
+        assert table == lattice_table(ideal, FieldSpec())
 
 
 class TestFieldSpec:
