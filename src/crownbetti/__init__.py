@@ -45,7 +45,6 @@ from .homology import (
     FieldSpec,
     SimplicialComplexOnVars,
     multigraded_betti,
-    reduced_homology_ranks,
     upper_koszul_complex,
 )
 from .splitting import (

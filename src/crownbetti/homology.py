@@ -102,7 +102,7 @@ class FieldSpec:
 
         A thin adapter: the rows become sparse columns of the entries that
         are nonzero in the field, and the rank is the number of pivots the
-        column reduction behind reduced_homology_ranks finds.  Entries are
+        column reduction behind _ranks finds.  Entries are
         taken as Python integers (operator.index), so fixed-width integer
         types cannot overflow and non-integers are refused.
         """
@@ -183,20 +183,6 @@ class SimplicialComplexOnVars:
     ground: tuple[str, ...]
     masks: tuple[int, ...]
 
-    @classmethod
-    def from_faces(
-        cls, ground: Sequence[str], faces: Iterable[Iterable[str]]
-    ) -> SimplicialComplexOnVars:
-        """The complex on ``ground`` whose faces are the given label sets."""
-        pos = {v: k for k, v in enumerate(ground)}
-        try:
-            masks = {sum(1 << pos[v] for v in face) for face in faces}
-        except KeyError as exc:
-            raise ValueError(f"face label {exc} is not in the ground set") from None
-        if any(m & ~(1 << k) not in masks for m in masks for k in range(len(pos))):
-            raise ValueError("face set is not downward closed")
-        return cls(tuple(ground), tuple(sorted(masks)))
-
     @property
     def faces(self) -> frozenset[frozenset[str]]:
         """The faces as label sets."""
@@ -204,9 +190,6 @@ class SimplicialComplexOnVars:
             frozenset(v for k, v in enumerate(self.ground) if mask >> k & 1)
             for mask in self.masks
         )
-
-    def is_void(self) -> bool:
-        return not self.masks
 
 
 def _sparse_generators(ideal: MonomialIdeal) -> list[tuple[tuple[int, int], ...]]:
@@ -269,9 +252,12 @@ def _submasks(facets: Iterable[int]) -> list[int]:
 def upper_koszul_complex(
     ideal: MonomialIdeal, a: Multidegree
 ) -> SimplicialComplexOnVars:
-    """Faces are the squarefree b within supp(a) such that x^(a-b) lies in I:
+    """The label view of the oracle's facet key at the point a.
+
+    Faces are the squarefree b within supp(a) such that x^(a-b) lies in I:
     by the facet lemma, the submasks of the facets F_g = {k in supp(a) :
-    g_k < a_k} over the generators g dividing x^a (void if there are none)."""
+    g_k < a_k} over the generators g dividing x^a (void if there are none).
+    These are the faces of _facet_key(a), written over the labels supp(a)."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("upper Koszul complex requires a nonzero, non-unit ideal")
     if a.variables != ideal.variables:
@@ -284,24 +270,10 @@ def upper_koszul_complex(
     return SimplicialComplexOnVars(ground, tuple(_submasks(facets)))
 
 
-def reduced_homology_ranks(
-    complex_: SimplicialComplexOnVars, field: FieldSpec
-) -> dict[int, int]:
-    """Reduced homology ranks by dimension, empty face at dimension -1.
-
-    The void complex has no homology at all; the complex {Ø} has rank 1
-    in dimension -1.  Zero ranks are omitted from the result.
-    """
-    if complex_.is_void():
-        return {}
-    if 0 not in complex_.masks:
-        raise ValueError("nonvoid complex must contain the empty face")
-    return _ranks(complex_.masks, field)
-
-
 def _ranks(masks: Iterable[int], field: FieldSpec) -> dict[int, int]:
-    """Reduced homology ranks of the nonvoid complex with these face masks,
-    as reduced_homology_ranks gives them."""
+    """Reduced homology ranks, by dimension, of the nonvoid complex with
+    these face masks (downward closed, so the empty face 0 is among them).
+    The empty face sits in dimension -1, and zero ranks are omitted."""
     by_dim: dict[int, list[int]] = {}
     for mask in masks:
         by_dim.setdefault(mask.bit_count() - 1, []).append(mask)
@@ -326,15 +298,15 @@ def _ranks(masks: Iterable[int], field: FieldSpec) -> dict[int, int]:
 def _facet_ranks(
     facets: Sequence[int],
     field: FieldSpec,
-    cores: Optional[dict[tuple[int, ...], dict[int, int]]] = None,
+    cores: dict[tuple[int, ...], dict[int, int]],
 ) -> dict[int, int]:
     """Reduced homology ranks of the complex whose maximal facets are
     ``facets`` (none: the void complex), from the smaller of its core's
     face set and the core's Alexander dual; see the module docstring.
 
-    ``cores`` maps a core relabelled onto bits 0..N-1 to its ranks; the
-    caller shares one dict across the keys of one table (a fresh one
-    when it is omitted)."""
+    ``cores`` maps a core relabelled onto bits 0..N-1 to its ranks.  The
+    caller owns it: one dict per table and field, shared by the keys of
+    that table."""
     common = -1
     for facet in facets:
         common &= facet
@@ -351,8 +323,6 @@ def _facet_ranks(
     if support != full:
         core = _relabel(core, support)
     key = tuple(core)
-    if cores is None:
-        cores = {}
     ranks = cores.get(key)
     if ranks is None:
         dual = _dual_faces(full, core, 1 << (n - 1))

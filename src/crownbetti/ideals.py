@@ -36,6 +36,9 @@ class MonomialIdeal:
         for g in self.generators:
             if g.variables != self.variables:
                 raise ValueError("generator over a different variable set")
+            # type, not isinstance: a bool is an int, but not an exponent
+            if any(type(e) is not int for e in g.exponents):
+                raise ValueError(f"non-integer exponent in {g.exponents}")
         reduced = _antichain(self.generators)
         object.__setattr__(self, "generators", tuple(sorted(reduced)))
 

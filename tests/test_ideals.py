@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from crownbetti import (
     MonomialIdeal,
+    Multidegree,
     VariableSet,
     colon_by_monomial,
     complete_bipartite,
@@ -69,6 +71,16 @@ class TestMinimalize:
         ms = {v4.monomial(e) for e in exps}
         naive = {a for a in ms if not any(b != a and divides(b, a) for b in ms)}
         assert set(minimalize(v4, ms).generators) == naive
+
+    @pytest.mark.parametrize("bad", [1.5, True, Fraction(1), Fraction(3, 2)])
+    def test_non_integer_exponent_rejected(self, bad):
+        # a float built (y, x^1.5) and Betti entries at x^1.5; a bool was
+        # written to JSON as true
+        generators = [Multidegree(V, (bad, 0)), m(0, 1)]
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            minimalize(V, generators)
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            MonomialIdeal(V, tuple(generators))
 
     def test_complete_bipartite_40_is_fast(self):
         # every edge generator is minimal; comparing all pairs took seconds
