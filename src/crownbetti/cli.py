@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .formulas import (
-    _formula_entries,
+    _formula_rows,
     family_top_betti,
     shape_betti_formula,
     shape_entry_count,
@@ -35,8 +35,8 @@ from .graphs import (
     edge_ideal,
 )
 from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
-from .multidegree import VariableSet
-from .render import _json_dict, _text_report, _write_json
+from .multidegree import VariableSet, _xy_variables
+from .render import _json_dict, _rows, _text_report, _write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -116,12 +116,13 @@ def _check_options(args, no_oracle: str = "", table: bool = True) -> None:
         raise UsageError("--raw applies to the text report, not to --output json")
 
 
-def _emit(graded: dict[tuple[int, int], int], entries, args) -> None:
-    """Print the report of graded numbers `graded` and entries ((i, a), c)."""
+def _emit(graded: dict[tuple[int, int], int], rows, variables: VariableSet, args) -> None:
+    """Print the report of graded numbers `graded` and the sorted rows
+    (i, exponents, count) of entries over `variables`."""
     if args.output == "json":
-        _write_json(_json_dict(graded, entries), sys.stdout)
+        _write_json(_json_dict(graded, rows), sys.stdout)
     else:
-        print(_text_report(graded, entries, args.multigraded, args.raw), end="")
+        print(_text_report(graded, rows, variables, args.multigraded, args.raw), end="")
 
 
 def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = "") -> int:
@@ -144,16 +145,17 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
                 )
             )
     if mode == "formula":
-        # the graded numbers are counted and the entries listed: no table is built
+        # the graded numbers are counted and the rows listed: no table is built
         print(head, end="")
-        _emit(shape_graded_formula(*shape, weights), _formula_entries(*shape, weights), args)
+        rows = _formula_rows(*shape, weights)
+        _emit(shape_graded_formula(*shape, weights), rows, _xy_variables(*shape[1:]), args)
         return EXIT_OK
     formula = shape_betti_formula(*shape, weights) if mode == "both" else None
     table = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
     print(head, end="")
     if mode == "both" and table != formula:
         return _report_mismatch(table, formula)
-    _emit(table.graded(), table.entries.items(), args)
+    _emit(table.graded(), _rows(table), table.variables, args)
     return EXIT_OK
 
 
@@ -245,7 +247,7 @@ def cmd_graph(args) -> int:
         raise UsageError("empty edge ideal: the graph has no edges")
     field = _parse_field(args.field)
     table = multigraded_betti(ideal, field)
-    _emit(table.graded(), table.entries.items(), args)
+    _emit(table.graded(), _rows(table), table.variables, args)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .graphs import _check_shape, _family_shape
@@ -67,45 +68,58 @@ def _selections(
 
 def enumerate_N(
     m: int, s: int, t: int, weights: Sequence[int], i: int, k: int
-) -> frozenset[Multidegree]:
+) -> list[tuple[int, ...]]:
     """theta(G[W]) over the vertex sets W of the shape (m, s, t) with
-    exactly k >= 2 missing pairs and i + 3 vertices.
+    exactly k >= 2 missing pairs and i + 3 vertices: exponent tuples over
+    x1..xs, y1..yt, in increasing order.
 
     W is k pair indices plus i + 3 - 2k further slots; theta(G[W]) is the
     product of the chosen x's and the chosen y's raised to their weights.
+    Distinct W give distinct theta(G[W]), so no tuple repeats.
     """
     if k < 2 or k > m:
         raise ValueError(f"need 2 <= k <= m, got k = {k}")
-    variables = _xy_variables(s, t)
-    return frozenset(Multidegree(variables, e) for e in _selections(m, s, t, weights, k, i + 3))
+    return sorted(_selections(m, s, t, weights, k, i + 3))
 
 
-def enumerate_M(m: int, s: int, t: int, weights: Sequence[int], i: int) -> frozenset[Multidegree]:
+def enumerate_M(
+    m: int, s: int, t: int, weights: Sequence[int], i: int
+) -> list[tuple[int, ...]]:
     """theta(G[W]) over the vertex sets W of the shape (m, s, t) with no
-    missing pair, i + 2 vertices and both sides nonempty."""
-    variables = _xy_variables(s, t)
-    return frozenset(Multidegree(variables, e) for e in _selections(m, s, t, weights, 0, i + 2))
+    missing pair, i + 2 vertices and both sides nonempty: exponent tuples
+    over x1..xs, y1..yt, in increasing order, none repeated."""
+    return sorted(_selections(m, s, t, weights, 0, i + 2))
 
 
-def _formula_entries(m: int, s: int, t: int, weights: Sequence[int]) -> Iterator[tuple]:
-    """The entries ((i, theta(G[W])), value) of the shape (m, s, t), one per vertex set
-    W with no isolated vertex and not one missing pair, valued by the top entry of G[W]."""
+def _formula_rows(
+    m: int, s: int, t: int, weights: Sequence[int]
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The rows (i, theta(G[W]), value) of the shape (m, s, t) in increasing
+    order, one per vertex set W with no isolated vertex and not one missing
+    pair, valued by the top entry of G[W]; theta(G[W]) is an exponent tuple
+    over x1..xs, y1..yt.  An index's rows are the sorted runs of enumerate_N
+    and enumerate_M, which one list.sort merges; no two rows share (i, theta)."""
     _check_shape(m, s, t, weights)
     for i in range(s + t - 1):  # a vertex set W reaches index |W| - 2 at most
+        rows = []
         for k in range(2, m + 1):
             _, value = _top_entry(k, i + 3)
-            for a in enumerate_N(m, s, t, weights, i, k):
-                yield (i, a), value
+            rows += [(i, e, value) for e in enumerate_N(m, s, t, weights, i, k)]
         _, value = _top_entry(0, i + 2)
-        for a in enumerate_M(m, s, t, weights, i):
-            yield (i, a), value
+        rows += [(i, e, value) for e in enumerate_M(m, s, t, weights, i)]
+        rows.sort(key=itemgetter(1))  # one index: the exponents alone order the rows
+        yield from rows
 
 
 def shape_betti_formula(m: int, s: int, t: int, weights: Sequence[int]) -> BettiTable:
     """Predicted multigraded Betti table of the edge ideal of the shape
-    (m, s, t) with y-weights `weights`: the entries of _formula_entries."""
+    (m, s, t) with y-weights `weights`: the rows of _formula_rows."""
     _check_shape(m, s, t, weights)
-    return BettiTable(_xy_variables(s, t), dict(_formula_entries(m, s, t, weights)))
+    variables = _xy_variables(s, t)
+    return BettiTable(
+        variables,
+        {(i, Multidegree(variables, e)): c for i, e, c in _formula_rows(m, s, t, weights)},
+    )
 
 
 def _entry_states(

@@ -13,7 +13,7 @@ import json
 from typing import Any, TextIO
 
 from .homology import BettiTable, _graded_summary
-from .multidegree import Multidegree
+from .multidegree import Multidegree, VariableSet
 
 
 def _betti_diagram(graded: dict[tuple[int, int], int]) -> str:
@@ -55,37 +55,44 @@ def graded_report(graded: dict[tuple[int, int], int], raw: bool = False) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _text_report(graded: dict[tuple[int, int], int], entries, multigraded: bool, raw: bool) -> str:
-    """graded_report, then with `multigraded` one line "i  a  c" per entry ((i, a), c)."""
+def _rows(table: BettiTable) -> list[tuple[int, tuple[int, ...], int]]:
+    """The rows (i, exponents, count) of the table's entries in increasing
+    order; each row shares its entry's exponent tuple, and the tuples sort in C."""
+    return sorted((i, a.exponents, c) for (i, a), c in table.entries.items())
+
+
+def _text_report(
+    graded: dict[tuple[int, int], int], rows, variables: VariableSet, multigraded: bool, raw: bool
+) -> str:
+    """graded_report, then with `multigraded` one line "i  a  c" per row
+    (i, exponents, c) of the sorted `rows`, a being the monomial over `variables`."""
     text = graded_report(graded, raw)
     if multigraded:
-        # keyed by (i, exponents): tuples compare in C, far faster than Multidegrees
-        items = sorted(entries, key=lambda e: (e[0][0], e[0][1].exponents))
-        text += "\n" + "\n".join(f"{i}  {a}  {c}" for (i, a), c in items) + "\n"
+        lines = (f"{i}  {Multidegree(variables, e)}  {c}" for i, e, c in rows)
+        text += "\n" + "\n".join(lines) + "\n"
     return text
 
 
 def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False) -> str:
     """graded_report of the table, then with `multigraded` one line "i  a  c" per entry."""
-    return _text_report(table.graded(), table.entries.items(), multigraded, raw)
+    return _text_report(table.graded(), _rows(table), table.variables, multigraded, raw)
 
 
-def _json_dict(graded: dict[tuple[int, int], int], entries) -> dict[str, Any]:
-    """The JSON document of graded numbers `graded` and entries ((i, a), c)."""
+def _json_dict(graded: dict[tuple[int, int], int], rows) -> dict[str, Any]:
+    """The JSON document of graded numbers `graded` and the sorted rows
+    (i, exponents, count); json writes a tuple as an array."""
     pdim, reg, totals = _graded_summary(graded)
     return {
         "pdim": pdim,
         "reg": reg,
         "total": totals,
         "graded": [[i, j, c] for (i, j), c in sorted(graded.items())],
-        # plain rows sort in C; each shares its entry's exponent tuple, and
-        # json writes a tuple as an array
-        "multigraded": sorted((i, a.exponents, c) for (i, a), c in entries),
+        "multigraded": list(rows),
     }
 
 
 def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
-    return _json_dict(table.graded(), table.entries.items())
+    return _json_dict(table.graded(), _rows(table))
 
 
 def _write_json(doc: dict[str, Any], out: TextIO) -> None:
@@ -100,11 +107,18 @@ def _write_json(doc: dict[str, Any], out: TextIO) -> None:
     out.write("]" + tail + "\n")
 
 
-def table_from_json_dict(data: dict[str, Any], variables) -> BettiTable:
+def table_from_json_dict(data: dict[str, Any], variables: VariableSet) -> BettiTable:
     """Inverse of table_to_json_dict over a known variable set; its rows may
-    be tuples or, as json.loads reads them, lists."""
-    entries = {
-        (i, Multidegree(variables, tuple(exps))): c
-        for i, exps, c in data["multigraded"]
-    }
+    be tuples or, as json.loads reads them, lists.  A row whose index,
+    exponents or count are not all of type int (a bool or a float is not),
+    or a second row at one (i, exponents), is a ValueError."""
+    entries: dict[tuple[int, Multidegree], int] = {}
+    for i, exps, c in data["multigraded"]:
+        exps = tuple(exps)
+        if not all(type(x) is int for x in (i, c, *exps)):
+            raise ValueError(f"row {[i, list(exps), c]}: index, exponents and count must be ints")
+        key = (i, Multidegree(variables, exps))
+        if key in entries:
+            raise ValueError(f"row {[i, list(exps), c]}: a second row at this index and exponents")
+        entries[key] = c
     return BettiTable(variables, entries)

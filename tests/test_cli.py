@@ -13,6 +13,7 @@ import pytest
 from crownbetti import (
     BettiTable,
     FieldSpec,
+    Multidegree,
     checks,
     crown,
     edge_ideal,
@@ -153,7 +154,11 @@ class TestCrownCommand:
         monkeypatch.setattr(formulas_module, "BettiTable", refuse)
         monkeypatch.setattr(BettiTable, "graded", refuse)
         for extra, out in expected.items():
-            assert run(capsys, *argv, *extra) == (EXIT_OK, out, "")
+            with monkeypatch.context() as patch:
+                if extra == ("--output", "json"):
+                    # the JSON rows are the listing's exponent tuples: no monomial is built
+                    patch.setattr(Multidegree, "__init__", refuse)
+                assert run(capsys, *argv, *extra) == (EXIT_OK, out, "")
 
     def test_formula_text_at_n30(self, capsys):
         code, out, _ = run(capsys, "crown", "--n", "30", "--mode", "formula")
@@ -181,7 +186,7 @@ class TestCrownCommand:
             raise AssertionError("the table was listed or computed")
 
         monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
-        monkeypatch.setattr(cli_module, "_formula_entries", refuse)
+        monkeypatch.setattr(cli_module, "_formula_rows", refuse)
         monkeypatch.setattr(cli_module, "multigraded_betti", refuse)
         code, out, err = run(capsys, "crown", "--n", "11", *extra)
         assert code == EXIT_USAGE and out == ""
@@ -924,3 +929,22 @@ def test_json_rows_share_the_exponent_tuples():
     # the table comes back from the tuple rows and from the lists json reads
     assert table_from_json_dict(data, xy_variables(4)) == table
     assert table_from_json_dict(json.loads(json.dumps(data)), xy_variables(4)) == table
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, [1, 0, 0, 1], 1], [0, [1, 0, 0, 1], 2]],  # would merge into one entry of 2
+        [[0, [1, 0, 0, 1], True]],
+        [[0, [1, 0, 0, 1], 1.0]],
+        [[0, [1.5, 0, 0, 1], 1]],
+        [[0, [True, 0, 0, 1], 1]],
+        [[True, [1, 0, 0, 1], 1]],
+    ],
+    ids=["repeated-row", "bool-count", "float-count", "float-exponent", "bool-exponent",
+         "bool-index"],
+)
+def test_json_rows_are_refused_not_reinterpreted(rows):
+    # a document from outside is read as it is written, or refused
+    with pytest.raises(ValueError, match="row "):
+        table_from_json_dict({"multigraded": rows}, xy_variables(2))

@@ -29,8 +29,18 @@ from crownbetti import (
     unbalanced_crown,
     xy_variables,
 )
-from crownbetti.formulas import _entry_states, _formula_entries
+from crownbetti.formulas import _entry_states, _formula_rows
 from crownbetti.graphs import _xy_graph
+from crownbetti.render import _rows
+
+
+def monomials(n, exponents):
+    """The enumerated exponent tuples of a crown as monomials over x1..xn, y1..yn."""
+    return map(xy_variables(n).monomial, exponents)
+
+
+def strictly_increasing(items):
+    return all(a < b for a, b in zip(items, items[1:]))
 
 
 class TestTotalClosedForm:
@@ -66,17 +76,17 @@ class TestEnumerateN:
             vs.from_dict({f"x{a}": 1, f"x{b}": 1, f"y{a}": w[a - 1], f"y{b}": w[b - 1]})
             for a, b in itertools.combinations((1, 2, 3), 2)
         }
-        assert enumerate_N(3, 3, 3, w, 1, 2) == expected
+        assert enumerate_N(3, 3, 3, w, 1, 2) == sorted(a.exponents for a in expected)
 
     def test_empty_when_too_many_pairs(self):
-        assert enumerate_N(4, 4, 4, (1, 1, 1, 1), 0, 2) == frozenset()
+        assert enumerate_N(4, 4, 4, (1, 1, 1, 1), 0, 2) == []
 
     def test_matches_oracle_support_of_beta1(self):
         w = (2, 1, 3)
         table = multigraded_betti(edge_ideal(crown(3, w)))
         from_n = enumerate_N(3, 3, 3, w, 1, 2)
         from_m = enumerate_M(3, 3, 3, w, 1)
-        assert {a for (i, a) in table.entries if i == 1} == from_n | from_m
+        assert {a.exponents for (i, a) in table.entries if i == 1} == {*from_n, *from_m}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_cardinalities_across_range(self, n):
@@ -93,7 +103,7 @@ class TestEnumerateN:
         graph = crown(n, w)
         for i in range(0, 2 * n - 2):
             for k in range(2, n + 1):
-                for a in enumerate_N(n, n, n, w, i, k):
+                for a in monomials(n, enumerate_N(n, n, n, w, i, k)):
                     sub = induced_subgraph(graph, a.support())
                     assert theta(sub) == a
 
@@ -111,18 +121,29 @@ def test_enumerations_match_induced_subgraph_thetas(n):
             if sub.edges and pairs != 1:
                 thetas[pairs, size].add(theta(sub))
     for i in range(-1, 2 * n):
-        assert enumerate_M(n, n, n, w, i) == thetas[0, i + 2]
+        assert enumerate_M(n, n, n, w, i) == sorted(a.exponents for a in thetas[0, i + 2])
         for k in range(2, n + 1):
-            assert enumerate_N(n, n, n, w, i, k) == thetas[k, i + 3]
+            assert enumerate_N(n, n, n, w, i, k) == sorted(a.exponents for a in thetas[k, i + 3])
+
+
+@pytest.mark.parametrize("m, s, t", [(3, 3, 3), (2, 4, 3), (0, 3, 4), (5, 5, 5)])
+def test_enumerations_are_strictly_increasing(m, s, t):
+    # the listing merges these runs, so each must be sorted and repeat nothing
+    weights = tuple(range(1, t + 1))
+    for i in range(-1, s + t):
+        assert strictly_increasing(enumerate_M(m, s, t, weights, i))
+        for k in range(2, m + 1):
+            assert strictly_increasing(enumerate_N(m, s, t, weights, i, k))
 
 
 class TestEnumerateM:
     def test_index_zero_gives_generators(self):
         w = (2, 1, 3)
-        assert enumerate_M(3, 3, 3, w, 0) == frozenset(edge_ideal(crown(3, w)).generators)
+        generators = edge_ideal(crown(3, w)).generators
+        assert enumerate_M(3, 3, 3, w, 0) == sorted(g.exponents for g in generators)
 
     def test_one_sided_selections_excluded(self):
-        for a in enumerate_M(3, 3, 3, (1, 1, 1), 1):
+        for a in monomials(3, enumerate_M(3, 3, 3, (1, 1, 1), 1)):
             labels = {v[0] for v in a.support()}
             assert labels == {"x", "y"}
 
@@ -140,7 +161,7 @@ class TestEnumerateM:
         n, w = 4, (2, 1, 1, 3)
         graph = crown(n, w)
         for i in range(0, 2 * n - 2):
-            for a in enumerate_M(n, n, n, w, i):
+            for a in monomials(n, enumerate_M(n, n, n, w, i)):
                 assert theta(induced_subgraph(graph, a.support())) == a
 
 
@@ -159,8 +180,8 @@ class TestPartitionConsistency:
     def test_selection_families_are_disjoint(self, n):
         w = (2,) + (1,) * (n - 1)
         for i in range(0, 2 * n - 2):
-            sets = [enumerate_N(n, n, n, w, i, k) for k in range(2, n + 1)]
-            sets.append(enumerate_M(n, n, n, w, i))
+            sets = [set(enumerate_N(n, n, n, w, i, k)) for k in range(2, n + 1)]
+            sets.append(set(enumerate_M(n, n, n, w, i)))
             for a, b in itertools.combinations(sets, 2):
                 assert not (a & b)
 
@@ -168,7 +189,7 @@ class TestPartitionConsistency:
         n, w = 4, (1, 2, 3, 4)
         for i in range(0, 2 * n - 2):
             for k in range(2, n + 1):
-                for a in enumerate_N(n, n, n, w, i, k):
+                for a in monomials(n, enumerate_N(n, n, n, w, i, k)):
                     n_x = sum(1 for v in a.support() if v.startswith("x"))
                     n_y = sum(1 for v in a.support() if v.startswith("y"))
                     y_weight = sum(
@@ -177,7 +198,7 @@ class TestPartitionConsistency:
                     assert n_x + n_y == i + 3
                     assert min(n_x, n_y) >= k
                     assert a.degree() == n_x + y_weight
-            for a in enumerate_M(n, n, n, w, i):
+            for a in monomials(n, enumerate_M(n, n, n, w, i)):
                 assert len(a.support()) == i + 2
 
     def test_weight_one_degrees(self):
@@ -185,8 +206,8 @@ class TestPartitionConsistency:
         w = (1,) * n
         for i in range(0, 2 * n - 2):
             for k in range(2, n + 1):
-                assert all(a.degree() == i + 3 for a in enumerate_N(n, n, n, w, i, k))
-            assert all(a.degree() == i + 2 for a in enumerate_M(n, n, n, w, i))
+                assert all(sum(e) == i + 3 for e in enumerate_N(n, n, n, w, i, k))
+            assert all(sum(e) == i + 2 for e in enumerate_M(n, n, n, w, i))
 
 
 class TestMultigradedFormula:
@@ -280,8 +301,9 @@ def test_closed_entry_count_is_the_counted_one():
 def test_listing_is_the_table_and_adds_up_to_the_counted_numbers():
     # the one listing walk, which shape_betti_formula and the CLI's listings
     # read, on every admissible shape (m, s, t) with s + t <= 9, m = 0 too:
-    # one entry per selection, the table's entries, and, summed by degree,
-    # the graded numbers the CLI counts beside it
+    # one row per selection, strictly increasing by (i, exponents), the
+    # table's sorted rows, and, summed by degree, the graded numbers the CLI
+    # counts beside it
     rng = random.Random(11)
     shapes = [
         (m, s, t)
@@ -293,21 +315,21 @@ def test_listing_is_the_table_and_adds_up_to_the_counted_numbers():
     assert len(shapes) == 105 and (0, 4, 5) in shapes
     for m, s, t in shapes:
         weights = tuple(rng.randint(1, 4) for _ in range(t))
-        listed = list(_formula_entries(m, s, t, weights))
-        entries = dict(listed)
-        assert len(entries) == len(listed) == shape_entry_count(m, s, t, weights)
-        assert entries == shape_betti_formula(m, s, t, weights).entries, (m, s, t)
+        listed = list(_formula_rows(m, s, t, weights))
+        assert len(listed) == shape_entry_count(m, s, t, weights)
+        assert strictly_increasing([(i, e) for i, e, _ in listed]), (m, s, t)
+        assert listed == _rows(shape_betti_formula(m, s, t, weights)), (m, s, t)
         graded = defaultdict(int)
-        for (i, a), c in listed:
-            graded[i, a.degree()] += c
+        for i, e, c in listed:
+            graded[i, sum(e)] += c
         assert graded == shape_graded_formula(m, s, t, weights), (m, s, t)
 
 
 def test_listing_checks_the_shape():
     with pytest.raises(ValueError, match="expected 3 weights"):
-        list(_formula_entries(3, 3, 3, (1, 1)))
+        list(_formula_rows(3, 3, 3, (1, 1)))
     with pytest.raises(ValueError, match="no edges"):
-        list(_formula_entries(1, 1, 1, (1,)))
+        list(_formula_rows(1, 1, 1, (1,)))
 
 
 def test_closed_entry_count_checks_the_shape():
