@@ -190,8 +190,9 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
     """Parse a graph interchange document.
 
     Schema: {"vertices": [label, ...], "edges": [[tail, head], ...],
-    "weights": {vertex: positive integer, ...}}; labels are strings, weights default to 1,
-    no other key is allowed and no key or edge may repeat.  A file that is
+    "weights": {vertex: positive integer, ...}}; labels are non-empty strings
+    without '*', '^' or whitespace, weights default to 1, no other key is
+    allowed and no key or edge may repeat.  A file that is
     not UTF-8 JSON, nests deeper than the parser recurses, or holds an
     integer too long to convert, is refused.
     """
@@ -226,6 +227,12 @@ def load_graph_document(path: str) -> WeightedOrientedGraph:
         raise UsageError(f"{path}: edges must be a list of [tail, head] pairs")
     if not all(isinstance(v, str) for v in vertices + [v for e in edges for v in e]):
         raise UsageError(f"{path}: vertex labels and edge endpoints must be strings")
+    for label in vertices:  # a monomial is written as labels joined by "*", each "^" a power
+        if label.split() != [label] or "*" in label or "^" in label:
+            raise UsageError(
+                f"{path}: vertex label {label!r} is empty or holds '*', '^' or whitespace, "
+                "which would make its monomials ambiguous"
+            )
     edge_set = frozenset(map(tuple, edges))
     if len(edge_set) < len(edges):
         repeated = _first_repeat(map(tuple, edges))

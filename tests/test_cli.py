@@ -6,14 +6,17 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crownbetti import (
     BettiTable,
     FieldSpec,
     Multidegree,
+    VariableSet,
     checks,
     crown,
     edge_ideal,
@@ -153,12 +156,10 @@ class TestCrownCommand:
         monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
         monkeypatch.setattr(formulas_module, "BettiTable", refuse)
         monkeypatch.setattr(BettiTable, "graded", refuse)
+        # the rows are written from their exponent tuples: no monomial is built
+        monkeypatch.setattr(Multidegree, "__init__", refuse)
         for extra, out in expected.items():
-            with monkeypatch.context() as patch:
-                if extra == ("--output", "json"):
-                    # the JSON rows are the listing's exponent tuples: no monomial is built
-                    patch.setattr(Multidegree, "__init__", refuse)
-                assert run(capsys, *argv, *extra) == (EXIT_OK, out, "")
+            assert run(capsys, *argv, *extra) == (EXIT_OK, out, "")
 
     def test_formula_text_at_n30(self, capsys):
         code, out, _ = run(capsys, "crown", "--n", "30", "--mode", "formula")
@@ -368,6 +369,15 @@ class TestGraphCommand:
         code, out, err = run(capsys, "graph", path)
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("label", ["a*c", "", "a^2", "a c", " a", "a\n", "a\u00a0b"])
+    def test_ambiguous_labels_rejected(self, capsys, tmp_path, label):
+        # with the labels "a*c" and "b" the monomial a*c*b reads as three
+        # variables, and the label "" printed the monomial *b
+        path = self.write_doc(tmp_path, {"vertices": [label, "b"], "edges": [[label, "b"]]})
+        code, out, err = run(capsys, "graph", path, "--multigraded")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {path}: vertex label {label!r} is empty or holds ")
 
 
 class TestFamilyCommand:
@@ -834,6 +844,60 @@ def test_json_writer_matches_one_shot_dumps(count):
     out = io.StringIO()
     _write_json(doc, out)
     assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _listing(width, lows, highs, indices, counts):
+    """Variables v1..v<width> and the sorted rows (i, lo + hi, c) for i below
+    `indices` over every low half in `lows` and high half in `highs`, which
+    split the exponents at width // 2 as the row writer does."""
+    variables = VariableSet(tuple(f"v{k}" for k in range(1, width + 1)))
+    exponents = sorted({lo + hi for lo in lows for hi in highs})
+    rows = [
+        (i, e, counts[(i + k) % len(counts)])
+        for i in range(indices)
+        for k, e in enumerate(exponents)
+    ]
+    return variables, rows
+
+
+@st.composite
+def _listings(draw):
+    width = draw(st.integers(1, 9))
+    exponent = st.sampled_from([0, 1, 2, 10**9]) | st.integers(0, 10**9)
+
+    def halves(size):  # the all-zero half always among them
+        return st.lists(st.tuples(*[exponent] * size), max_size=4).map(
+            lambda parts: [(0,) * size, *parts]
+        )
+
+    return _listing(
+        width,
+        draw(halves(width // 2)),
+        draw(halves(width - width // 2)),
+        draw(st.integers(1, 200)),
+        draw(st.lists(st.integers(1, 10**9), min_size=1, max_size=3)),
+    )
+
+
+@given(_listings())
+@example(_listing(3, [(0,), (1,)], [(0, 0), (2, 10**9)], 1100, [1, 2]))  # 4400 rows
+@example(_listing(1, [()], [(0,), (1,), (10**9,)], 1400, [3]))  # no low half, 4200 rows
+@settings(max_examples=60, deadline=None)
+def test_row_writer_matches_json_dumps_and_monomial_text(listing):
+    # the writer joins cached half texts; the bytes are json.dumps' and str(Multidegree)'s
+    from crownbetti.render import _json_dict, _text_report, _write_json, graded_report
+
+    variables, rows = listing
+    graded = Counter()
+    for i, e, c in rows:
+        graded[i, sum(e)] += c
+    doc = _json_dict(graded, rows)
+    out = io.StringIO()
+    _write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
+    lines = [f"{i}  {Multidegree(variables, e)}  {c}" for i, e, c in rows]
+    expected = graded_report(graded, raw=True) + "\n" + "\n".join(lines) + "\n"
+    assert _text_report(graded, rows, variables, True, True) == expected
 
 
 class TestCollectorPause:
