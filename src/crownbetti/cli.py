@@ -35,6 +35,7 @@ from .graphs import (
     edge_ideal,
 )
 from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
+from .ideals import MAX_LISTED_ENTRIES
 from .multidegree import VariableSet, _xy_variables
 from .render import _json_dict, _rows, _text_report, _write_json
 
@@ -42,9 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-# the most multigraded entries a shape's table may list or compute: a crown
-# table has about 3^n, 849,699 at n = 10 and 3,540,670 at n = 11
-MAX_LISTED_ENTRIES = 10**6
 # the most vertices s + t a shape may have: family answers at the cap in
 # about 0.2 s (shared 2-core host), and no weight tuple or variable name is
 # built past it
@@ -253,7 +251,10 @@ def cmd_graph(args) -> int:
     if ideal.is_zero():
         raise UsageError("empty edge ideal: the graph has no edges")
     field = _parse_field(args.field)
-    table = multigraded_betti(ideal, field)
+    try:
+        table = multigraded_betti(ideal, field)
+    except ValueError as exc:  # a lattice or a table past the cap
+        raise UsageError(str(exc))
     _emit(table.graded(), _rows(table), table.variables, args)
     return EXIT_OK
 

@@ -32,6 +32,16 @@ complex and its dual have 2^N faces between them, so the listing stops
 once the dual passes 2^(N-1) faces and the core's own faces are reduced
 instead: either way at most half the box is reduced.
 
+When each variable takes one nonzero exponent among the generators and
+the squarefree pattern is K_{A,B} minus a matching on a connected support
+(ideals._block_orbits), the pattern's block permutations map the lcm
+lattice onto itself and beta_{i,a} to beta_{i,sigma a}: the lattices of
+the ideal and its pattern are isomorphic (Gasharov-Peeva-Welker).  Then
+multigraded_betti takes the orbit path: the key and ranks are taken at
+one canonical point per orbit, and each orbit with homology is expanded
+into its entries.  Every other ideal takes the lattice path, one key per
+point of lcm_lattice.
+
 Homology comes from a reduction of the boundary matrices from the top
 dimension down with clearing (Chen-Kerber's twist): a face that is a
 pivot row of the boundary one dimension up is a cycle modulo earlier
@@ -52,7 +62,8 @@ from fractions import Fraction
 from operator import index
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .ideals import MonomialIdeal, lcm_lattice
+from . import ideals
+from .ideals import MonomialIdeal, _block_orbits, lcm_lattice
 from .multidegree import Multidegree, VariableSet
 
 DEFAULT_PRIME = 32003
@@ -496,18 +507,44 @@ class BettiTable:
 
 def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> BettiTable:
     """Complete multigraded Betti table of a nonzero, non-unit monomial ideal,
-    evaluated at the points of its lcm lattice."""
+    evaluated at the points of its lcm lattice, or at one point per orbit of
+    its pattern's block permutations (see the module docstring).  A lattice
+    or a table past MAX_LISTED_ENTRIES points or entries is a ValueError."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("Betti numbers computed only for nonzero, non-unit ideals")
     generators = _sparse_generators(ideal)
     memo: dict[tuple[int, ...], dict[int, int]] = {}
     cores: dict[tuple[int, ...], dict[int, int]] = {}
     entries: dict[tuple[int, Multidegree], int] = {}
-    for a in lcm_lattice(ideal):
-        key = _facet_key(generators, a.exponents)
+
+    def ranks_at(exps: tuple[int, ...]) -> dict[int, int]:
+        key = _facet_key(generators, exps)
         ranks = memo.get(key)
         if ranks is None:
             ranks = memo[key] = _facet_ranks(key, field, cores)
-        for d, r in ranks.items():
-            entries[(d + 1, a)] = r
-    return BettiTable(ideal.variables, entries)
+        return ranks
+
+    orbits = _block_orbits(ideal)
+    if orbits is None:
+        for a in lcm_lattice(ideal):
+            for d, r in ranks_at(a.exponents).items():
+                entries[(d + 1, a)] = r
+        return BettiTable(ideal.variables, entries)
+    found = []
+    for point in orbits.representatives():
+        ranks = ranks_at(orbits.exponents(point))
+        if ranks:
+            found.append((point, ranks))
+    count = sum(orbits.size(point) * len(ranks) for point, ranks in found)
+    if count > ideals.MAX_LISTED_ENTRIES:
+        raise ValueError(
+            f"the table has {count} multigraded entries, above the cap of "
+            f"{ideals.MAX_LISTED_ENTRIES}"
+        )
+    variables, exponents = ideal.variables, orbits.exponents
+    for point, ranks in found:
+        for mask in orbits.orbit(point):
+            a = Multidegree(variables, exponents(mask))
+            for d, r in ranks.items():
+                entries[(d + 1, a)] = r
+    return BettiTable(variables, entries)

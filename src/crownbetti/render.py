@@ -15,6 +15,7 @@ rows are written 4096 at a time.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, TextIO
 
 from .homology import BettiTable, _graded_summary
@@ -134,30 +135,35 @@ def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False)
 
 def _json_dict(graded: dict[tuple[int, int], int], rows) -> dict[str, Any]:
     """The JSON document of graded numbers `graded` and the sorted rows
-    (i, exponents, count); json writes a tuple as an array."""
+    (i, exponents, count), kept as the iterable given: _write_json takes
+    them as they come."""
     pdim, reg, totals = _graded_summary(graded)
     return {
         "pdim": pdim,
         "reg": reg,
         "total": totals,
         "graded": [[i, j, c] for (i, j), c in sorted(graded.items())],
-        "multigraded": list(rows),
+        "multigraded": rows,
     }
 
 
 def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
+    """The table's JSON document, its rows a list; json writes a tuple as an array."""
     return _json_dict(table.graded(), _rows(table))
 
 
 def _write_json(doc: dict[str, Any], out: TextIO) -> None:
     """Write json.dumps(doc, sort_keys=True) and a newline to `out`.  The C
-    encoder writes all but the rows; the rows are written by _row_texts,
-    4096 at a time, from the cached texts of their exponent tuples' halves
-    (split at the middle), never as one string."""
-    rows = doc["multigraded"]
+    encoder writes all but the rows; the rows, any iterable, are taken
+    4096 at a time and written by _row_texts from the cached texts of their
+    exponent tuples' halves (split at the middle of the first row), never
+    as one string and never held all at once."""
+    rows = iter(doc["multigraded"])
     head, tail = json.dumps({**doc, "multigraded": []}, sort_keys=True).split('"multigraded": []')
     out.write(head + '"multigraded": [')
-    h = len(rows[0][1]) // 2 if rows else 0
+    first = next(rows, None)
+    h = 0 if first is None else len(first[1]) // 2
+    rows = rows if first is None else chain((first,), rows)
     for k, text in enumerate(_row_texts(rows, h)):
         out.write(", " + text if k else text)
     out.write("]" + tail + "\n")

@@ -161,6 +161,37 @@ class TestCrownCommand:
         for extra, out in expected.items():
             assert run(capsys, *argv, *extra) == (EXIT_OK, out, "")
 
+    def test_json_listing_streams_its_rows(self, monkeypatch):
+        # the rows are written a chunk at a time as they come: no write
+        # waits on more than one chunk beyond the rows written before it
+        import crownbetti.cli as cli_module
+        from crownbetti.render import _CHUNK
+
+        weights = (1, 3, 1, 2, 1, 2, 2)
+        expected = json.dumps(table_to_json_dict(multigraded_betti_formula(7, weights)),
+                              sort_keys=True) + "\n"
+        pulled, rows = [0], cli_module._formula_rows
+
+        def counting(*args):
+            for row in rows(*args):
+                pulled[0] += 1
+                yield row
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                if text:
+                    seen.append(pulled[0])
+                return super().write(text)
+
+        seen, out = [], Recorder()
+        monkeypatch.setattr(cli_module, "_formula_rows", counting)
+        monkeypatch.setattr(sys, "stdout", out)
+        argv = ["crown", "--n", "7", "--weights", "1,3,1,2,1,2,2", "--mode", "formula"]
+        assert main(argv + ["--output", "json"]) == EXIT_OK
+        assert out.getvalue() == expected
+        assert pulled[0] == 11026 and len(seen) == 5
+        assert all(p <= k * _CHUNK for k, p in enumerate(seen)), seen
+
     def test_formula_text_at_n30(self, capsys):
         code, out, _ = run(capsys, "crown", "--n", "30", "--mode", "formula")
         assert code == EXIT_OK
@@ -369,6 +400,80 @@ class TestGraphCommand:
         code, out, err = run(capsys, "graph", path)
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: {path}: {message}\n"
+
+    @pytest.fixture
+    def lattice_calls(self, monkeypatch):
+        """The ideals each run hands to the plain lattice path."""
+        from crownbetti import homology
+
+        calls, lattice = [], homology.lcm_lattice
+
+        def spy(ideal):
+            calls.append(ideal)
+            return lattice(ideal)
+
+        monkeypatch.setattr(homology, "lcm_lattice", spy)
+        return calls
+
+    @staticmethod
+    def plain_run(capsys, monkeypatch, *argv):
+        """The command's result with every ideal sent down the lattice path."""
+        from crownbetti import homology
+
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, "_block_orbits", lambda ideal: None)
+            return run(capsys, *argv)
+
+    def test_relabelled_reversed_crown_takes_the_orbit_path(
+        self, capsys, monkeypatch, tmp_path, lattice_calls
+    ):
+        # crown n = 5 on the labels a1..a5, b1..b5 in shuffled order, every
+        # edge b_j -> a_i (i != j) and the weights on the a side: the edge
+        # ideal is the crown's pattern with its levels on the heads
+        vertices = ["b3", "a2", "a5", "b1", "a4", "b5", "a1", "b2", "b4", "a3"]
+        doc = {
+            "vertices": vertices,
+            "edges": [[f"b{j}", f"a{i}"] for i in range(1, 6) for j in range(1, 6) if i != j],
+            "weights": {"a1": 3, "a2": 1, "a4": 2, "a5": 10**9},
+        }
+        path = self.write_doc(tmp_path, doc)
+        for extra in (("--output", "json"), ("--multigraded",)):
+            orbit = run(capsys, "graph", path, *extra)
+            assert lattice_calls == []
+            plain = self.plain_run(capsys, monkeypatch, "graph", path, *extra)
+            assert len(lattice_calls) == 1
+            lattice_calls.clear()
+            assert orbit == plain and orbit[0] == EXIT_OK
+
+    def test_weight_on_a_head_and_tail_takes_the_lattice_path(
+        self, capsys, tmp_path, lattice_calls
+    ):
+        # y2 (weight 2) is the head of x_i -> y2 and the tail of y2 -> x1:
+        # it takes two levels, 2 and 1, so the ideal is no rescaled pattern
+        edges = [[f"x{i}", f"y{j}"] for i in range(1, 5) for j in range(1, 5) if i != j]
+        edges[edges.index(["x1", "y2"])] = ["y2", "x1"]
+        doc = {"vertices": list(xy_variables(4).names), "edges": edges, "weights": {"y2": 2}}
+        code, out, _ = run(capsys, "graph", self.write_doc(tmp_path, doc), "--output", "json")
+        assert code == EXIT_OK and len(lattice_calls) == 1
+
+    def test_lattice_past_the_cap_exits_2(self, capsys, monkeypatch, tmp_path):
+        # five disjoint edges have 31 lattice points, and the crown n = 3
+        # table, on the orbit path, has 22 entries
+        from crownbetti import ideals
+
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 14)
+        names = [f"v{k}" for k in range(10)]
+        disjoint = {"vertices": names, "edges": [names[k:k + 2] for k in range(0, 10, 2)]}
+        graph = crown(3, (1, 1, 1))
+        crown3 = {"vertices": list(graph.vertices.names), "edges": [list(e) for e in graph.edges]}
+        for doc, message in (
+            (disjoint, "error: the lcm lattice passes the cap of 14 points\n"),
+            (crown3, "error: the table has 22 multigraded entries, above the cap of 14\n"),
+        ):
+            path = self.write_doc(tmp_path, doc)
+            assert run(capsys, "graph", path) == (EXIT_USAGE, "", message)
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 31)
+        assert run(capsys, "graph", self.write_doc(tmp_path, disjoint))[0] == EXIT_OK
 
     @pytest.mark.parametrize("label", ["a*c", "", "a^2", "a c", " a", "a\n", "a\u00a0b"])
     def test_ambiguous_labels_rejected(self, capsys, tmp_path, label):

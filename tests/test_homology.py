@@ -12,17 +12,21 @@ from crownbetti import (
     contains,
     crown,
     edge_ideal,
+    induced_subgraph,
     lcm_lattice,
     lcm_of,
     minimalize,
     multigraded_betti,
+    multigraded_betti_formula,
     scale,
+    shape_betti_formula,
     table_to_json_dict,
     theta,
     upper_koszul_complex,
     xy_variables,
 )
-from crownbetti import homology
+from crownbetti import homology, ideals
+from crownbetti.graphs import _xy_graph
 from crownbetti.homology import _dual_faces, _facet_ranks, _ranks, _strong_core, _submasks
 
 V = VariableSet(("x", "y"))
@@ -256,6 +260,120 @@ class TestMultigradedBetti:
         for w in [(1, 1, 1), (2, 1, 3)]:
             totals = multigraded_betti(edge_ideal(crown(3, w))).total_sequence()
             assert 1 + sum((-1) ** (i + 1) * b for i, b in enumerate(totals)) == 0
+
+
+def plain_betti(ideal, field=FieldSpec()):
+    """multigraded_betti down the plain lattice path, whatever the ideal."""
+    orbits = homology._block_orbits
+    homology._block_orbits = lambda ideal: None
+    try:
+        return multigraded_betti(ideal, field)
+    finally:
+        homology._block_orbits = orbits
+
+
+SHAPES8 = [
+    (m, s, t)
+    for s in range(1, 8)
+    for t in range(1, 9 - s)
+    for m in range(min(s, t) + 1)
+    if (m, s, t) != (1, 1, 1)
+]
+
+
+class TestBlockOrbits:
+    # an ideal whose pattern is K_{A,B} minus a matching, with one level per
+    # variable, is reduced once per orbit of the pattern's block permutations
+
+    @pytest.mark.parametrize("shape", SHAPES8)
+    def test_orbit_table_matches_lattice_and_formula(self, shape):
+        m, s, t = shape
+        rows = {(1,) * t, tuple(range(1, t + 1)), tuple(range(t, 0, -1)), (10**9,) + (1,) * (t - 1)}
+        for weights in sorted(rows):
+            ideal = edge_ideal(_xy_graph(m, s, t, weights))
+            # two disjoint edges are the one disconnected pattern here
+            assert (ideals._block_orbits(ideal) is None) == (shape == (2, 2, 2))
+            table = multigraded_betti(ideal)
+            assert table == plain_betti(ideal) == shape_betti_formula(m, s, t, weights)
+
+    def test_induced_subgraphs_of_crown4_match_the_lattice_path(self):
+        graph = crown(4, (3, 1, 10**9, 2))
+        names = graph.vertices.names
+        taken = 0
+        for size in range(2, 9):
+            for subset in itertools.combinations(names, size):
+                ideal = edge_ideal(induced_subgraph(graph, subset))
+                if ideal.is_zero():
+                    continue
+                taken += ideals._block_orbits(ideal) is not None
+                for char in (0, 2):
+                    field = FieldSpec(char)
+                    assert multigraded_betti(ideal, field) == plain_betti(ideal, field)
+        assert taken > 150
+
+    def test_levels_need_one_exponent_per_variable(self):
+        ideal = edge_ideal(crown(3, (1, 5, 2)))
+        pattern, levels = ideals._levels(ideal)
+        squarefree = edge_ideal(crown(3, (1, 1, 1))).generators
+        assert pattern == {sum(e << k for k, e in enumerate(g.exponents)) for g in squarefree}
+        assert levels == (1, 1, 1, 1, 5, 2)
+        assert ideals._levels(minimalize(V, [m(2, 0), m(1, 1)])) is None
+
+    @pytest.mark.parametrize("classes", [
+        [[(0, 0), (3, 3)]],  # x1 and y1 as two unmatched vertices of one class
+        [[(0, 3), (1, 5), (2, 4)]],  # x2 paired with y3, not with y2
+        [[(0, 3), (1, 4), (2, 5)], [(0, 0), (1, 1)]],
+    ])
+    def test_a_fake_block_action_is_refused(self, classes):
+        codes, levels = ideals._levels(edge_ideal(crown(3, (1, 1, 1))))
+        assert ideals._BlockOrbits(levels, codes, [[(0, 3), (1, 4), (2, 5)]]).codes == codes
+        with pytest.raises(ValueError, match="does not map the generators onto themselves"):
+            ideals._BlockOrbits(levels, codes, classes)
+
+    @pytest.mark.parametrize("edges, blocks", [
+        # K_{2,3} minus one edge, listed with the lower side second
+        ([(3, 1), (4, 0), (4, 1), (2, 0), (2, 1)], [[(0, 3)], [(1, 1)], [(2, 2), (4, 4)]]),
+        ([(0, 1), (1, 2), (2, 0)], None),  # a triangle is not bipartite
+        ([(0, 1), (2, 3)], None),  # two disjoint edges: a disconnected support
+        ([(0, 3), (0, 4), (1, 3), (1, 4), (2, 5)], None),
+        ([(0, 2), (1, 3), (0, 4), (1, 4)], [[(0, 3), (1, 2)], [(4, 4)]]),
+        # the path 0-1-2-3-4 is K_{3,2} minus a matching; the path on six
+        # vertices is not, since 0 misses both 3 and 5
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], [[(0, 3), (4, 1)], [(2, 2)]]),
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], None),
+    ])
+    def test_block_classes(self, edges, blocks):
+        assert ideals._block_classes(edges) == blocks
+
+    @pytest.mark.parametrize("shape, weights", [
+        ((5, 5, 5), (1, 2, 3, 1, 2)),
+        ((2, 4, 3), (10**9, 1, 2)),  # all three classes: two pairs, x3 and x4, y3
+        ((0, 3, 3), (1, 1, 1)),
+        ((3, 3, 4), (4, 3, 2, 1)),
+    ])
+    def test_orbits_cover_the_lattice(self, shape, weights):
+        ideal = edge_ideal(_xy_graph(*shape, weights))
+        orbits = ideals._block_orbits(ideal)
+        points = orbits.representatives()
+        covered = [orbits.exponents(q) for p in points for q in orbits.orbit(p)]
+        lattice = {a.exponents for a in lcm_lattice(ideal)}
+        assert len(covered) == sum(map(orbits.size, points)) == len(lattice)
+        assert set(covered) == lattice
+        assert all(orbits.canonical(q) == p for p in points for q in orbits.orbit(p))
+
+    def test_each_orbit_is_reduced_once(self, monkeypatch):
+        # crown n = 7 has 92 orbits of its pair permutations on its 15,240
+        # lattice points; the key is taken at one point of each
+        keys, facet_key = [], homology._facet_key
+
+        def counting(generators, exps):
+            keys.append(exps)
+            return facet_key(generators, exps)
+
+        monkeypatch.setattr(homology, "_facet_key", counting)
+        table = multigraded_betti(edge_ideal(crown(7, (1, 2, 3, 4, 5, 6, 7))))
+        assert len(keys) == len(set(keys)) == 92
+        assert table == multigraded_betti_formula(7, (1, 2, 3, 4, 5, 6, 7))
 
 
 class TestAggregation:

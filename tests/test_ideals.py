@@ -286,6 +286,27 @@ class TestLcmLattice:
         assert time.perf_counter() - start < 1
 
 
+    @pytest.mark.parametrize("cap", [1, 5, 30])
+    def test_lattice_past_the_cap_is_refused(self, monkeypatch, cap):
+        # five disjoint edges: 31 points, the closure's slices a few points each
+        from crownbetti import ideals
+
+        names = tuple(f"v{k}" for k in range(10))
+        v10 = VariableSet(names)
+        ideal = minimalize(v10, [v10.from_dict({names[k]: 1, names[k + 1]: 1})
+                                 for k in range(0, 10, 2)])
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", cap)
+        with pytest.raises(ValueError, match=f"passes the cap of {cap} points"):
+            lcm_lattice(ideal)
+        with pytest.raises(ValueError, match="cap"):
+            multigraded_betti(ideal)
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 31)
+        assert len(lcm_lattice(ideal)) == 31
+
+    def test_zero_ideal_has_an_empty_lattice(self):
+        assert lcm_lattice(minimalize(V, [])) == frozenset()
+
+
 class TestSupportOfIdeal:
     def test_zero_ideal(self):
         assert minimalize(V, []).support() == frozenset()
