@@ -32,15 +32,15 @@ complex and its dual have 2^N faces between them, so the listing stops
 once the dual passes 2^(N-1) faces and the core's own faces are reduced
 instead: either way at most half the box is reduced.
 
-When each variable takes one nonzero exponent among the generators and
-the squarefree pattern is K_{A,B} minus a matching on a connected support
-(ideals._block_orbits), the pattern's block permutations map the lcm
-lattice onto itself and beta_{i,a} to beta_{i,sigma a}: the lattices of
-the ideal and its pattern are isomorphic (Gasharov-Peeva-Welker).  Then
-multigraded_betti takes the orbit path: the key and ranks are taken at
-one canonical point per orbit, and each orbit with homology is expanded
-into its entries.  Every other ideal takes the lattice path, one key per
-point of lcm_lattice.
+The lattice comes from ideals._Lattice, closed over one canonical point
+per orbit of its block permutations.  A permutation that maps the
+generators onto themselves maps beta_{i,a} to beta_{i,sigma a}, since
+the lcm lattice determines the Betti numbers (Gasharov-Peeva-Welker).  So
+multigraded_betti takes the key and ranks at each canonical point, keeps
+a running count of the entries its orbits hold, and expands each orbit
+with homology into its entries.  An ideal with no block classes has the
+trivial group, each orbit one point; its table is read over the points
+of lcm_lattice.
 
 Homology comes from a reduction of the boundary matrices from the top
 dimension down with clearing (Chen-Kerber's twist): a face that is a
@@ -63,7 +63,7 @@ from operator import index
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import ideals
-from .ideals import MonomialIdeal, _block_orbits, lcm_lattice
+from .ideals import MonomialIdeal, _Lattice, lcm_lattice
 from .multidegree import Multidegree, VariableSet
 
 DEFAULT_PRIME = 32003
@@ -507,9 +507,10 @@ class BettiTable:
 
 def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> BettiTable:
     """Complete multigraded Betti table of a nonzero, non-unit monomial ideal,
-    evaluated at the points of its lcm lattice, or at one point per orbit of
-    its pattern's block permutations (see the module docstring).  A lattice
-    or a table past MAX_LISTED_ENTRIES points or entries is a ValueError."""
+    evaluated at one point per orbit of its lcm lattice under its pattern's
+    block permutations (see the module docstring).  A lattice or a table
+    past MAX_LISTED_ENTRIES points or entries is a ValueError, raised once
+    the closure or the running count of entries passes the cap."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("Betti numbers computed only for nonzero, non-unit ideals")
     generators = _sparse_generators(ideal)
@@ -524,27 +525,31 @@ def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> B
             ranks = memo[key] = _facet_ranks(key, field, cores)
         return ranks
 
-    orbits = _block_orbits(ideal)
-    if orbits is None:
-        for a in lcm_lattice(ideal):
-            for d, r in ranks_at(a.exponents).items():
-                entries[(d + 1, a)] = r
-        return BettiTable(ideal.variables, entries)
-    found = []
-    for point in orbits.representatives():
-        ranks = ranks_at(orbits.exponents(point))
-        if ranks:
-            found.append((point, ranks))
-    count = sum(orbits.size(point) * len(ranks) for point, ranks in found)
-    if count > ideals.MAX_LISTED_ENTRIES:
-        raise ValueError(
-            f"the table has {count} multigraded entries, above the cap of "
-            f"{ideals.MAX_LISTED_ENTRIES}"
+    lattice = _Lattice(ideal)
+    variables, exponents = ideal.variables, lattice.exponents
+    if lattice.classes:
+        found, count = [], 0
+        points = list(lattice.closure())
+        for point, size in zip(points, lattice.sizes(points)):
+            ranks = ranks_at(exponents(point))
+            if ranks:
+                count += size * len(ranks)
+                if count > ideals.MAX_LISTED_ENTRIES:
+                    raise ValueError(
+                        f"the table passes the cap of {ideals.MAX_LISTED_ENTRIES} "
+                        "multigraded entries"
+                    )
+                found.append((point, ranks))
+        rows = (
+            (Multidegree(variables, exponents(q)), ranks)
+            for point, ranks in found
+            for q in lattice.expand([point])
         )
-    variables, exponents = ideal.variables, orbits.exponents
-    for point, ranks in found:
-        for mask in orbits.orbit(point):
-            a = Multidegree(variables, exponents(mask))
-            for d, r in ranks.items():
-                entries[(d + 1, a)] = r
+    else:
+        # each orbit is one point; they are read through lcm_lattice, the
+        # span perfbench traces as the lattice layer
+        rows = ((a, ranks_at(a.exponents)) for a in lcm_lattice(ideal))
+    for a, ranks in rows:
+        for d, r in ranks.items():
+            entries[(d + 1, a)] = r
     return BettiTable(variables, entries)

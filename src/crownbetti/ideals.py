@@ -1,26 +1,19 @@
 """Monomial ideals: minimal generators, membership, colon, sum, product,
 intersection, dominance, and the lcm lattice.
 
-The lcm lattice is closed on plain ints: an exponent is coded in unary by
-its rank among the distinct nonzero exponents of its variable, so that
-componentwise max is bitwise OR and a huge weight is still one bit.  The
-closure stops once it passes MAX_LISTED_ENTRIES points.
-
-When each variable takes one nonzero exponent c_k among the generators,
-the ideal is its squarefree pattern under x_k -> x_k^{c_k}, and the two
-lcm lattices are isomorphic (Gasharov-Peeva-Welker, The lcm-lattice in
-monomial resolutions, 1999).  When that pattern is a complete bipartite
-graph K_{A,B} minus a matching, on a connected support, its blocks of
-variables (the matched pairs (a, b), the unmatched a's and the unmatched
-b's) are interchangeable within their class, and _BlockOrbits closes the
-lattice over one canonical point per orbit of those block permutations."""
+The lcm lattice has one code, _Lattice: exponents coded in unary by rank,
+so that componentwise max is bitwise OR and a weight of 10^9 is one bit,
+closed over one canonical point per orbit of the pattern's block
+permutations (the trivial group when there are none), and capped at
+MAX_LISTED_ENTRIES points."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterable, Optional
+from operator import getitem, mul
+from typing import Iterable, Optional, Sequence
 
 from .multidegree import (
     Multidegree,
@@ -170,74 +163,19 @@ def is_dominant(ideal: MonomialIdeal) -> bool:
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Multidegree]:
-    """All lcms of nonempty subsets of the minimal generators.
-
-    Computed as a closure that avoids enumerating 2^m subsets.  Each
-    exponent is coded in unary by its rank among the distinct nonzero
-    exponents its variable takes in the generators, one bit field per
-    variable: rank r is r low bits set, so exponent 0 is no bit and a
-    weight of 10^9 is still a single bit when it is its variable's only
-    level.  Ranks preserve order, so componentwise max is bitwise OR and
-    the closure runs on plain ints.  A point is decoded once, by the bit
-    count of each field, into the Multidegree that is returned.
+    """All lcms of nonempty subsets of the minimal generators: every point
+    of every orbit of _Lattice(ideal), one Multidegree each.
 
     A lattice of more than MAX_LISTED_ENTRIES points is a ValueError: the
-    closure stops at the slice of a round that passes the cap.
+    closure stops at the slice of a round that passes the cap, and the
+    orbits are counted before any is expanded.
     """
-    gens = [g.exponents for g in ideal.generators]
-    # per variable: (bit offset, field mask, exponent by rank)
-    fields = []
-    offset = 0
-    for k in range(len(ideal.variables)):
-        levels = (0, *sorted({g[k] for g in gens} - {0}))
-        width = len(levels) - 1
-        fields.append((offset, (1 << width) - 1, levels))
-        offset += width
-    codes = {
-        sum(((1 << levels.index(e)) - 1) << off for e, (off, _, levels) in zip(g, fields))
-        for g in gens
-    }
-    points, frontier = set(codes), codes
-    # a round joins the frontier to the generators a slice at a time, and
-    # each slice adds at most about MAX_LISTED_ENTRIES points
-    step = MAX_LISTED_ENTRIES // max(len(codes), 1) + 1
-    while frontier:
-        grown: set[int] = set()
-        pending = iter(frontier)
-        while len(grown) <= MAX_LISTED_ENTRIES and (chunk := list(islice(pending, step))):
-            grown |= {p | g for p in chunk for g in codes}
-        frontier = grown - points
-        points |= frontier
-        if len(points) > MAX_LISTED_ENTRIES or len(grown) > MAX_LISTED_ENTRIES:
-            raise ValueError(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
-    return frozenset(
-        Multidegree(
-            ideal.variables,
-            tuple([levels[(p >> off & mask).bit_count()] for off, mask, levels in fields]),
-        )
-        for p in points
-    )
-
-
-def _levels(ideal: MonomialIdeal) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
-    """The squarefree pattern of the ideal, each generator as the mask of
-    its support (bit k: x_k), and each variable's level c_k, the one
-    nonzero exponent it takes among the generators (0 if none holds it);
-    None when some variable takes two.  The ideal is its pattern under
-    x_k -> x_k^{c_k}, and the masks are as many as the generators."""
-    levels = [0] * len(ideal.variables)
-    pattern = set()
-    for g in ideal.generators:
-        mask = 0
-        for k, e in enumerate(g.exponents):
-            if e:
-                if levels[k] != e:
-                    if levels[k]:
-                        return None
-                    levels[k] = e
-                mask |= 1 << k
-        pattern.add(mask)
-    return frozenset(pattern), tuple(levels)
+    lattice = _Lattice(ideal)
+    points = list(lattice.closure())
+    if sum(lattice.sizes(points)) > MAX_LISTED_ENTRIES:
+        raise ValueError(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
+    variables, exponents = ideal.variables, lattice.exponents
+    return frozenset(Multidegree(variables, exponents(q)) for q in lattice.expand(points))
 
 
 def _block_classes(edges: Iterable[tuple[int, int]]) -> Optional[list[list[tuple[int, int]]]]:
@@ -279,159 +217,206 @@ def _block_classes(edges: Iterable[tuple[int, int]]) -> Optional[list[list[tuple
     return [blocks for blocks in classes if blocks]
 
 
-def _transpose(mask: int, blocks: tuple[tuple[int, int], tuple[int, int]]) -> int:
-    """The mask with the variables of two blocks (a, b) and (c, d)
-    exchanged: a with c, b with d."""
-    (a, b), (c, d) = blocks
-    for i, j in {(a, c), (b, d)}:
-        if (mask >> i ^ mask >> j) & 1:
-            mask ^= 1 << i | 1 << j
-    return mask
+class _Blocks:
+    """One class of interchangeable blocks of code bits: k blocks (a, b),
+    an unmatched vertex v being the block (v, v).
 
-
-class _BlockOrbits:
-    """The lcm lattice of an ideal of one level per variable whose pattern
-    has the given block classes, by orbits of the block permutations.
-
-    A point is a mask over the variables, bit k set when x_k divides it.
-    On a block (a, b) it is in state 0..3, (bit a) + 2 (bit b); an
-    unmatched vertex (v, v) is in state 0 or 3.  An orbit is fixed by the
-    number of blocks of each class in each state, and its canonical point
-    puts each class's states in block order from the highest down.  The
-    group maps generators to generators, so the canonical points of the
-    lattice are the closure of the generators' own under
-    p -> canonical(p | g) over every generator g.
-
-    The states are counted on a layout word: class c's blocks r hold bit
-    off_c + r for their a and off_c + k_c + r for their b, so the counts
-    are three bit counts per class.  A point is gathered onto the layout,
-    and decoded to exponents, a byte of the mask at a time.
+    On a block a point is in state 0..3, (bit a) + 2 (bit b); an unmatched
+    vertex is in state 0 or 3.  The class's part of an orbit is fixed by
+    the number of its blocks in each state, and the canonical part puts
+    the states in block order from the highest down.  The states are
+    counted on a word with bit r for block r's a and bit k + r for its b,
+    gathered from the code a byte at a time.
     """
 
-    def __init__(self, levels: tuple[int, ...], codes: frozenset[int], classes):
-        for blocks in classes:
-            for pair in zip(blocks, blocks[1:]):
-                if {_transpose(g, pair) for g in codes} != codes:
-                    raise ValueError(
-                        f"the block action does not map the generators onto themselves: "
-                        f"blocks {pair[0]} and {pair[1]}"
-                    )
-        self.codes = codes
-        layout = [0] * len(levels)
-        # per class: a's offset, b's offset, the block count, the a's and
-        # the b's of its first r blocks for r = 0..k, each block's states
-        self.classes = []
-        offset = 0
-        for blocks in classes:
-            k = len(blocks)
-            a_bits, b_bits, spread = [0], [0], []
-            for r, (a, b) in enumerate(blocks):
-                layout[a] |= 1 << offset + r
-                layout[b] |= 1 << offset + k + r
-                a_bits.append(a_bits[-1] | 1 << a)
-                b_bits.append(b_bits[-1] | 1 << b)
-                spread.append((0, 1 << a, 1 << b, 1 << a | 1 << b))
-            self.classes.append((offset, offset + k, k, a_bits, b_bits, spread))
-            offset += 2 * k
-        # eight variables at a time, by the byte of the mask: the layout
-        # bits, and the exponents (x_k's level where bit k is set)
-        self.gathers, self.tables = [], []
-        for start in range(0, len(levels), 8):
-            gather, table = [0], [()]
-            for bits, c in zip(layout[start:start + 8], levels[start:start + 8]):
-                gather += [g | bits for g in gather]
-                table = [t + (0,) for t in table] + [t + (c,) for t in table]
-            self.gathers.append((start, gather))
-            self.tables.append((start, table))
+    def __init__(self, blocks: list[tuple[int, int]], width: int):
+        self.k = k = len(blocks)
+        layout = [0] * width
+        # the a's and the b's of the first r blocks for r = 0..k, and each
+        # block's bits in each state
+        self.a_bits, self.b_bits, self.spread = [0], [0], []
+        for r, (a, b) in enumerate(blocks):
+            layout[a] |= 1 << r
+            layout[b] |= 1 << k + r
+            self.a_bits.append(self.a_bits[-1] | 1 << a)
+            self.b_bits.append(self.b_bits[-1] | 1 << b)
+            self.spread.append((0, 1 << a, 1 << b, 1 << a | 1 << b))
+        self.others = ~(self.a_bits[k] | self.b_bits[k])
+        # the word's bits from each byte of the code that holds a block bit
+        self.gathers = []
+        for start in range(0, width, 8):
+            if any(layout[start:start + 8]):
+                gather = [0]
+                for bits in layout[start:start + 8]:
+                    gather += [g | bits for g in gather]
+                self.gathers.append((start, gather))
 
-    def _counts(self, point: int) -> list[tuple[int, int, int, int]]:
-        """Per class, the number of its blocks in state 0, 1, 2 and 3."""
+    def counts(self, point: int) -> tuple[int, int, int, int]:
+        """The number of blocks in state 0, 1, 2 and 3."""
         word = 0
         for start, gather in self.gathers:
             word |= gather[point >> start & 255]
-        out = []
-        for a_off, b_off, k, _, _, _ in self.classes:
-            full = (1 << k) - 1
-            a, b = word >> a_off & full, word >> b_off & full
-            both = (a & b).bit_count()
-            one, two = a.bit_count() - both, b.bit_count() - both
-            out.append((k - both - one - two, one, two, both))
-        return out
+        k = self.k
+        a, b = word & (1 << k) - 1, word >> k
+        both = (a & b).bit_count()
+        one, two = a.bit_count() - both, b.bit_count() - both
+        return k - both - one - two, one, two, both
 
     def canonical(self, point: int) -> int:
-        """The orbit's canonical point: blocks in state 3, then 2, then 1."""
-        out = 0
-        for (_, one, two, both), (_, _, _, a_bits, b_bits, _) in zip(
-            self._counts(point), self.classes
-        ):
-            mid = both + two
-            out |= a_bits[both] | b_bits[mid] | (a_bits[mid + one] ^ a_bits[mid])
-        return out
-
-    def representatives(self) -> set[int]:
-        """The canonical point of every orbit of the lattice."""
-        canonical, codes = self.canonical, self.codes
-        points = {canonical(g) for g in codes}
-        frontier = set(points)
-        while frontier:
-            frontier = {canonical(q) for q in {p | g for p in frontier for g in codes}} - points
-            points |= frontier
-        return points
+        """The point with the class's blocks in state 3, then 2, then 1."""
+        _, one, two, both = self.counts(point)
+        a_bits, b_bits, mid = self.a_bits, self.b_bits, both + two
+        return point & self.others | a_bits[both] | b_bits[mid] | a_bits[mid + one] ^ a_bits[mid]
 
     def size(self, point: int) -> int:
-        """The number of points in the orbit of `point`."""
-        out = 1
-        for zero, one, two, both in self._counts(point):
-            k = zero + one + two + both
-            out *= comb(k, both) * comb(k - both, two) * comb(zero + one, one)
-        return out
+        """The number of ways to place the point's states over the blocks."""
+        zero, one, two, both = self.counts(point)
+        return comb(self.k, both) * comb(self.k - both, two) * comb(zero + one, one)
 
     def orbit(self, point: int) -> list[int]:
-        """Every point of the orbit of `point`: each class's states placed
-        over its blocks in every distinct order.  The placements grow block
-        by block, grouped by the states still to place; a class whose
-        blocks share one state has the point's own bits."""
-        masks = [0]
-        for counts, (_, _, k, a_bits, b_bits, spread) in zip(self._counts(point), self.classes):
-            if k in counts:
-                bits = point & (a_bits[k] | b_bits[k])
-                masks = [m | bits for m in masks]
-                continue
-            layer = {counts: masks}
-            for row in spread:
-                grown: dict[tuple[int, ...], list[int]] = {}
-                for left, partial in layer.items():
-                    for s, bit in enumerate(row):
-                        if left[s]:
-                            grown.setdefault(left[:s] + (left[s] - 1,) + left[s + 1:], []).extend(
-                                [m | bit for m in partial] if bit else partial
-                            )
-                layer = grown
-            (masks,) = layer.values()
+        """The point with its states placed over the blocks in every
+        distinct order.  The placements grow block by block, grouped by the
+        states still to place."""
+        counts = self.counts(point)
+        if self.k in counts:
+            return [point]
+        layer = {counts: [point & self.others]}
+        for row in self.spread:
+            grown: dict[tuple[int, ...], list[int]] = {}
+            for left, partial in layer.items():
+                for s, bit in enumerate(row):
+                    if left[s]:
+                        grown.setdefault(left[:s] + (left[s] - 1,) + left[s + 1:], []).extend(
+                            [m | bit for m in partial] if bit else partial
+                        )
+            layer = grown
+        (masks,) = layer.values()
         return masks
 
+
+class _Lattice:
+    """The lcm lattice of an ideal, as orbits of its pattern's block
+    permutations on integer codes.
+
+    Encoder: an exponent is coded in unary by its rank among the distinct
+    nonzero exponents its variable takes in the generators, in a field of
+    one bit per level and at least one bit per variable: rank r is r low
+    bits set, so exponent 0 is no bit and a weight of 10^9 is one bit when
+    it is its variable's only level.  Ranks preserve order, so the lcm of
+    two points is the OR of their codes.
+
+    Group: with one level per variable, bit k is x_k and the ideal is its
+    squarefree pattern under x_k -> x_k^{c_k}; the two lcm lattices are
+    isomorphic (Gasharov-Peeva-Welker, The lcm-lattice in monomial
+    resolutions, 1999).  When that pattern has block classes
+    (_block_classes), the blocks of each class are interchangeable, and
+    the group acts on each class apart.  Every other ideal has no
+    classes, and then the group is trivial: canonical, sizes and expand
+    loop over no class, so each orbit is its one point.
+
+    Closure: the group maps generators to generators, so the canonical
+    points are the closure of the generators' own under p ->
+    canonical(p | g) over every generator g.
+
+    Decoder: the code is cut into runs of whole fields, each of at most 8
+    bits or one wider field, and each run is read off a table from its
+    bits to the exponents they stand for.
+    """
+
+    def __init__(self, ideal: MonomialIdeal):
+        gens = [g.exponents for g in ideal.generators]
+        # per variable: its bit offset, its width and the code in place of
+        # each of its levels; a variable no generator holds takes one bit
+        # that no code sets
+        fields = []
+        offset = 0
+        for column in zip(*gens):
+            code = {0: 0}
+            for r, e in enumerate(sorted(set(column) - {0}), 1):
+                code[e] = ((1 << r) - 1) << offset
+            width = max(len(code) - 1, 1)
+            fields.append((offset, width, code))
+            offset += width
+        places = [code for _, _, code in fields]
+        self.codes = codes = frozenset(sum(map(getitem, places, g)) for g in gens)
+        classes = []
+        if codes and offset == len(fields) and all(c.bit_count() == 2 for c in codes):
+            edges = ((c.bit_length() - 1, (c & -c).bit_length() - 1) for c in codes)
+            classes = _block_classes(edges) or []
+        self.classes = [_Blocks(blocks, offset) for blocks in classes]
+        # a class's permutations map the generators onto themselves exactly
+        # when the generators' orbits under them hold no other point
+        for blocks in self.classes:
+            if sum(map(blocks.size, set(map(blocks.canonical, codes)))) != len(codes):
+                raise ValueError("the block action does not map the generators onto themselves")
+        # runs of whole fields, each of at most 8 bits or one wider field:
+        # per run, its offset, its mask and its table from the run's bits to
+        # their exponents, grown a field at a time as a byte table is, or,
+        # for one wider field, from its valid codes alone
+        self.tables = []
+        for off, width, code in fields:
+            if self.tables and off + width - self.tables[-1][0] <= 8:
+                start, _, table = self.tables.pop()
+            else:
+                start, table = off, [()]
+            if width > 8:
+                table = {u >> off: (e,) for e, u in code.items()}
+            else:
+                values = [0] * (1 << width)
+                for e, u in code.items():
+                    values[u >> off] = e
+                table = [t + (e,) for e in values for t in table]
+            self.tables.append((start, (1 << off + width - start) - 1, table))
+
+    def canonical(self, points: Iterable[int]) -> set[int]:
+        """The canonical points of the orbits of these points."""
+        points = set(points)
+        for blocks in self.classes:
+            points = set(map(blocks.canonical, points))
+        return points
+
+    def closure(self) -> set[int]:
+        """The canonical point of every orbit of the lattice.  More than
+        MAX_LISTED_ENTRIES of them, or a round that reaches more lattice
+        points than that, is a ValueError."""
+        codes = self.codes
+        points = frontier = self.canonical(codes)
+        # a round joins the frontier to the generators a slice at a time, and
+        # each slice adds at most about MAX_LISTED_ENTRIES points
+        step = MAX_LISTED_ENTRIES // max(len(codes), 1) + 1
+        while frontier:
+            grown: set[int] = set()
+            pending = iter(frontier)
+            while len(grown) <= MAX_LISTED_ENTRIES and (chunk := list(islice(pending, step))):
+                grown |= {p | g for p in chunk for g in codes}
+            # points holds canonical points only, so a point of grown that is
+            # in it is its own orbit's canonical point
+            frontier = self.canonical(grown - points) - points
+            points |= frontier
+            if len(points) > MAX_LISTED_ENTRIES or len(grown) > MAX_LISTED_ENTRIES:
+                raise ValueError(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
+        return points
+
+    def sizes(self, points: Sequence[int]) -> list[int]:
+        """The number of points in the orbit of each of these canonical
+        points."""
+        sizes = [1] * len(points)
+        for blocks in self.classes:
+            sizes = list(map(mul, sizes, map(blocks.size, points)))
+        return sizes
+
+    def expand(self, points: Iterable[int]) -> Iterable[int]:
+        """Every point of the orbits of these canonical points."""
+        for blocks in self.classes:
+            points = [q for p in points for q in blocks.orbit(p)]
+        return points
+
     def exponents(self, point: int) -> tuple[int, ...]:
-        """The point's exponents in the ideal: x_k's level where bit k is set."""
+        """The point's exponents in the ideal, a run of fields at a time."""
         out: tuple[int, ...] = ()
-        for start, table in self.tables:
-            out += table[point >> start & 255]
+        for start, mask, table in self.tables:
+            out += table[point >> start & mask]
         return out
-
-
-def _block_orbits(ideal: MonomialIdeal) -> Optional[_BlockOrbits]:
-    """The orbit view of the ideal's lcm lattice, or None unless each
-    variable has one level and the pattern is K_{A,B} minus a matching
-    with every generator on two variables and a connected support."""
-    found = _levels(ideal)
-    if found is None:
-        return None
-    codes, levels = found
-    if any(code.bit_count() != 2 for code in codes):
-        return None
-    classes = _block_classes(
-        (code.bit_length() - 1, (code & -code).bit_length() - 1) for code in codes
-    )
-    return None if classes is None else _BlockOrbits(levels, codes, classes)
 
 
 def _check_same_ring(a: MonomialIdeal, b: MonomialIdeal) -> None:

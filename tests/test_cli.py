@@ -418,10 +418,10 @@ class TestGraphCommand:
     @staticmethod
     def plain_run(capsys, monkeypatch, *argv):
         """The command's result with every ideal sent down the lattice path."""
-        from crownbetti import homology
+        from crownbetti import ideals
 
         with monkeypatch.context() as patch:
-            patch.setattr(homology, "_block_orbits", lambda ideal: None)
+            patch.setattr(ideals, "_block_classes", lambda edges: None)
             return run(capsys, *argv)
 
     def test_relabelled_reversed_crown_takes_the_orbit_path(
@@ -458,7 +458,8 @@ class TestGraphCommand:
 
     def test_lattice_past_the_cap_exits_2(self, capsys, monkeypatch, tmp_path):
         # five disjoint edges have 31 lattice points, and the crown n = 3
-        # table, on the orbit path, has 22 entries
+        # table, on the orbit path, has 22 entries: the running count stops
+        # at the first orbit that takes it past the cap
         from crownbetti import ideals
 
         monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 14)
@@ -468,7 +469,7 @@ class TestGraphCommand:
         crown3 = {"vertices": list(graph.vertices.names), "edges": [list(e) for e in graph.edges]}
         for doc, message in (
             (disjoint, "error: the lcm lattice passes the cap of 14 points\n"),
-            (crown3, "error: the table has 22 multigraded entries, above the cap of 14\n"),
+            (crown3, "error: the table passes the cap of 14 multigraded entries\n"),
         ):
             path = self.write_doc(tmp_path, doc)
             assert run(capsys, "graph", path) == (EXIT_USAGE, "", message)

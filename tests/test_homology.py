@@ -263,13 +263,24 @@ class TestMultigradedBetti:
 
 
 def plain_betti(ideal, field=FieldSpec()):
-    """multigraded_betti down the plain lattice path, whatever the ideal."""
-    orbits = homology._block_orbits
-    homology._block_orbits = lambda ideal: None
+    """multigraded_betti with no block classes, so down the lattice path."""
+    classes = ideals._block_classes
+    ideals._block_classes = lambda edges: None
     try:
         return multigraded_betti(ideal, field)
     finally:
-        homology._block_orbits = orbits
+        ideals._block_classes = classes
+
+
+def plain_closure(ideal):
+    """The lcm lattice, as exponent tuples, by the plain closure of the
+    generators under componentwise max."""
+    gens = {g.exponents for g in ideal.generators}
+    points, frontier = set(gens), gens
+    while frontier:
+        frontier = {tuple(map(max, p, g)) for p in frontier for g in gens} - points
+        points |= frontier
+    return points
 
 
 SHAPES8 = [
@@ -292,7 +303,7 @@ class TestBlockOrbits:
         for weights in sorted(rows):
             ideal = edge_ideal(_xy_graph(m, s, t, weights))
             # two disjoint edges are the one disconnected pattern here
-            assert (ideals._block_orbits(ideal) is None) == (shape == (2, 2, 2))
+            assert (not ideals._Lattice(ideal).classes) == (shape == (2, 2, 2))
             table = multigraded_betti(ideal)
             assert table == plain_betti(ideal) == shape_betti_formula(m, s, t, weights)
 
@@ -305,30 +316,48 @@ class TestBlockOrbits:
                 ideal = edge_ideal(induced_subgraph(graph, subset))
                 if ideal.is_zero():
                     continue
-                taken += ideals._block_orbits(ideal) is not None
+                taken += bool(ideals._Lattice(ideal).classes)
                 for char in (0, 2):
                     field = FieldSpec(char)
                     assert multigraded_betti(ideal, field) == plain_betti(ideal, field)
         assert taken > 150
 
-    def test_levels_need_one_exponent_per_variable(self):
-        ideal = edge_ideal(crown(3, (1, 5, 2)))
-        pattern, levels = ideals._levels(ideal)
+    def test_one_level_per_variable_codes_the_pattern(self):
+        # one level per variable: bit k is x_k, the codes are the squarefree
+        # pattern's support masks, and a code decodes with the levels
+        lattice = ideals._Lattice(edge_ideal(crown(3, (1, 5, 2))))
         squarefree = edge_ideal(crown(3, (1, 1, 1))).generators
-        assert pattern == {sum(e << k for k, e in enumerate(g.exponents)) for g in squarefree}
-        assert levels == (1, 1, 1, 1, 5, 2)
-        assert ideals._levels(minimalize(V, [m(2, 0), m(1, 1)])) is None
+        assert lattice.codes == {sum(e << k for k, e in enumerate(g.exponents)) for g in squarefree}
+        assert lattice.exponents(0b111111) == (1, 1, 1, 1, 5, 2)
+        assert lattice.classes
+        # x takes the levels 1 and 2: two bits, and no classes
+        lattice = ideals._Lattice(minimalize(V, [m(2, 0), m(1, 1)]))
+        assert lattice.codes == {0b011, 0b101} and not lattice.classes
+        assert [lattice.exponents(c) for c in (0b011, 0b101, 0b111)] == [(2, 0), (1, 1), (2, 1)]
+
+    def test_no_classes_is_the_trivial_group(self, monkeypatch):
+        ideal = edge_ideal(crown(3, (1, 1, 1)))
+        monkeypatch.setattr(ideals, "_block_classes", lambda edges: None)
+        lattice = ideals._Lattice(ideal)
+        points = list(lattice.closure())
+        assert lattice.canonical(points) == set(points)
+        assert lattice.sizes(points) == [1] * 28
+        assert lattice.expand(points) == points
 
     @pytest.mark.parametrize("classes", [
         [[(0, 0), (3, 3)]],  # x1 and y1 as two unmatched vertices of one class
         [[(0, 3), (1, 5), (2, 4)]],  # x2 paired with y3, not with y2
         [[(0, 3), (1, 4), (2, 5)], [(0, 0), (1, 1)]],
     ])
-    def test_a_fake_block_action_is_refused(self, classes):
-        codes, levels = ideals._levels(edge_ideal(crown(3, (1, 1, 1))))
-        assert ideals._BlockOrbits(levels, codes, [[(0, 3), (1, 4), (2, 5)]]).codes == codes
+    def test_a_fake_block_action_is_refused(self, monkeypatch, classes):
+        ideal = edge_ideal(crown(3, (1, 1, 1)))
+        monkeypatch.setattr(ideals, "_block_classes", lambda edges: [[(0, 3), (1, 4), (2, 5)]])
+        assert len(ideals._Lattice(ideal).classes) == 1
+        monkeypatch.setattr(ideals, "_block_classes", lambda edges: classes)
         with pytest.raises(ValueError, match="does not map the generators onto themselves"):
-            ideals._BlockOrbits(levels, codes, classes)
+            ideals._Lattice(ideal)
+        with pytest.raises(ValueError, match="does not map the generators onto themselves"):
+            multigraded_betti(ideal)
 
     @pytest.mark.parametrize("edges, blocks", [
         # K_{2,3} minus one edge, listed with the lower side second
@@ -353,13 +382,15 @@ class TestBlockOrbits:
     ])
     def test_orbits_cover_the_lattice(self, shape, weights):
         ideal = edge_ideal(_xy_graph(*shape, weights))
-        orbits = ideals._block_orbits(ideal)
-        points = orbits.representatives()
-        covered = [orbits.exponents(q) for p in points for q in orbits.orbit(p)]
-        lattice = {a.exponents for a in lcm_lattice(ideal)}
-        assert len(covered) == sum(map(orbits.size, points)) == len(lattice)
-        assert set(covered) == lattice
-        assert all(orbits.canonical(q) == p for p in points for q in orbits.orbit(p))
+        lattice = ideals._Lattice(ideal)
+        points = list(lattice.closure())
+        orbits = [lattice.expand([p]) for p in points]
+        covered = [lattice.exponents(q) for orbit in orbits for q in orbit]
+        expected = plain_closure(ideal)
+        assert lattice.sizes(points) == list(map(len, orbits))
+        assert len(covered) == len(expected)
+        assert set(covered) == expected
+        assert all(lattice.canonical(orbit) == {p} for p, orbit in zip(points, orbits))
 
     def test_each_orbit_is_reduced_once(self, monkeypatch):
         # crown n = 7 has 92 orbits of its pair permutations on its 15,240
@@ -374,6 +405,27 @@ class TestBlockOrbits:
         table = multigraded_betti(edge_ideal(crown(7, (1, 2, 3, 4, 5, 6, 7))))
         assert len(keys) == len(set(keys)) == 92
         assert table == multigraded_betti_formula(7, (1, 2, 3, 4, 5, 6, 7))
+
+    def test_a_table_past_the_cap_stops_early(self, monkeypatch):
+        # crown n = 6 has 60 orbits, at most 153 points in a round of the
+        # closure and 2,511 entries: the running entry count passes a cap of
+        # 200 long before the last orbit is reduced
+        ideal = edge_ideal(crown(6, (1, 2, 3, 4, 5, 6)))
+        orbits = len(ideals._Lattice(ideal).closure())
+        calls, facet_ranks = [], homology._facet_ranks
+
+        def spy(facets, field, cores):
+            calls.append(facets)
+            return facet_ranks(facets, field, cores)
+
+        monkeypatch.setattr(homology, "_facet_ranks", spy)
+        multigraded_betti(ideal)
+        everything = len(calls)
+        calls.clear()
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 200)
+        with pytest.raises(ValueError, match="the table passes the cap of 200 multigraded entries"):
+            multigraded_betti(ideal)
+        assert len(calls) < everything <= orbits
 
 
 class TestAggregation:

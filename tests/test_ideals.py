@@ -27,6 +27,8 @@ from crownbetti import (
     scale,
     xy_variables,
 )
+from crownbetti import ideals
+from crownbetti.graphs import _xy_graph
 
 V = VariableSet(("x", "y"))
 
@@ -289,8 +291,6 @@ class TestLcmLattice:
     @pytest.mark.parametrize("cap", [1, 5, 30])
     def test_lattice_past_the_cap_is_refused(self, monkeypatch, cap):
         # five disjoint edges: 31 points, the closure's slices a few points each
-        from crownbetti import ideals
-
         names = tuple(f"v{k}" for k in range(10))
         v10 = VariableSet(names)
         ideal = minimalize(v10, [v10.from_dict({names[k]: 1, names[k + 1]: 1})
@@ -302,6 +302,39 @@ class TestLcmLattice:
             multigraded_betti(ideal)
         monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 31)
         assert len(lcm_lattice(ideal)) == 31
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 4, 4), (0, 2, 3), (3, 4, 3)])
+    def test_orbit_expansion_matches_lcms_of_generator_subsets(self, shape):
+        # these patterns have block classes, so the lattice is listed by
+        # expanding orbits; the brute force takes every generator subset
+        for weights in (tuple(range(1, shape[2] + 1)), (10**9,) + (1,) * (shape[2] - 1)):
+            ideal = edge_ideal(_xy_graph(*shape, weights))
+            assert ideals._Lattice(ideal).classes
+            gens = ideal.generators
+            brute = {
+                lcm_of(sub) for r in range(1, len(gens) + 1) for sub in combinations(gens, r)
+            }
+            assert lcm_lattice(ideal) == brute
+
+    def test_variables_of_many_levels_are_wide_fields(self):
+        # x and y take 12 levels each, so each field is a run of 12 bits of
+        # its own, between the one-bit runs of w and z
+        v3 = VariableSet(("w", "x", "y", "z"))
+        ideal = minimalize(v3, [v3.monomial((1, i, 12 - i, 1)) for i in range(13)])
+        assert [mask.bit_length() for _, mask, _ in ideals._Lattice(ideal).tables] == [1, 12, 12, 1]
+        points = {v3.monomial((1, j, 12 - i, 1)) for i in range(13) for j in range(i, 13)}
+        assert lcm_lattice(ideal) == points
+
+    @pytest.mark.parametrize("cap", [1, 18, 40, 164])
+    def test_orbit_lattice_past_the_cap_is_refused(self, monkeypatch, cap):
+        # crown n = 4: 165 points in 19 orbits, at most 32 points in a round
+        # of the closure; the orbits are counted before any is expanded
+        ideal = edge_ideal(crown(4, (1, 2, 3, 4)))
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", cap)
+        with pytest.raises(ValueError, match=f"passes the cap of {cap} points"):
+            lcm_lattice(ideal)
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 165)
+        assert len(lcm_lattice(ideal)) == 165
 
     def test_zero_ideal_has_an_empty_lattice(self):
         assert lcm_lattice(minimalize(V, [])) == frozenset()
