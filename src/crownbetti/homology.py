@@ -33,14 +33,15 @@ once the dual passes 2^(N-1) faces and the core's own faces are reduced
 instead: either way at most half the box is reduced.
 
 The lattice comes from ideals._Lattice, closed over one canonical point
-per orbit of its block permutations.  A permutation that maps the
-generators onto themselves maps beta_{i,a} to beta_{i,sigma a}, since
-the lcm lattice determines the Betti numbers (Gasharov-Peeva-Welker).  So
-multigraded_betti takes the key and ranks at each canonical point, keeps
-a running count of the entries its orbits hold, and expands each orbit
-with homology into its entries.  An ideal with no block classes has the
-trivial group, each orbit one point; its table is read over the points
-of lcm_lattice.
+per orbit of its pattern's symmetry: the block permutations, joined by
+the side swap x_r <-> y_r when the two sides match.  A permutation that
+maps the generators onto themselves maps beta_{i,a} to beta_{i,sigma a},
+since the lcm lattice determines the Betti numbers
+(Gasharov-Peeva-Welker).  So multigraded_betti takes the key and ranks
+at each canonical point, keeps a running count of the entries its orbits
+hold, and expands each orbit with homology into its entries.  An ideal
+with no block classes has the trivial group, each orbit one point; its
+table is read over the points of lcm_lattice.
 
 Homology comes from a reduction of the boundary matrices from the top
 dimension down with clearing (Chen-Kerber's twist): a face that is a
@@ -64,7 +65,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import ideals
 from .ideals import MonomialIdeal, _Lattice, lcm_lattice
-from .multidegree import Multidegree, VariableSet
+from .multidegree import Multidegree, VariableSet, _trusted
 
 DEFAULT_PRIME = 32003
 # Deterministic Miller-Rabin: these bases decide primality of every c < 2^64.
@@ -508,9 +509,10 @@ class BettiTable:
 def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> BettiTable:
     """Complete multigraded Betti table of a nonzero, non-unit monomial ideal,
     evaluated at one point per orbit of its lcm lattice under its pattern's
-    block permutations (see the module docstring).  A lattice or a table
-    past MAX_LISTED_ENTRIES points or entries is a ValueError, raised once
-    the closure or the running count of entries passes the cap."""
+    block permutations and side swap (see the module docstring).  A
+    lattice or a table past MAX_LISTED_ENTRIES points or entries is a
+    ValueError, raised once the closure or the running count of entries
+    passes the cap."""
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("Betti numbers computed only for nonzero, non-unit ideals")
     generators = _sparse_generators(ideal)
@@ -540,16 +542,14 @@ def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> B
                         "multigraded entries"
                     )
                 found.append((point, ranks))
-        rows = (
-            (Multidegree(variables, exponents(q)), ranks)
-            for point, ranks in found
-            for q in lattice.expand([point])
-        )
+        for point, ranks in found:
+            orbit = [_trusted(variables, exponents(q)) for q in lattice.expand([point])]
+            for d, r in ranks.items():
+                entries.update({(d + 1, a): r for a in orbit})
     else:
         # each orbit is one point; they are read through lcm_lattice, the
         # span perfbench traces as the lattice layer
-        rows = ((a, ranks_at(a.exponents)) for a in lcm_lattice(ideal))
-    for a, ranks in rows:
-        for d, r in ranks.items():
-            entries[(d + 1, a)] = r
+        for a in lcm_lattice(ideal):
+            for d, r in ranks_at(a.exponents).items():
+                entries[(d + 1, a)] = r
     return BettiTable(variables, entries)

@@ -3,8 +3,9 @@ intersection, dominance, and the lcm lattice.
 
 The lcm lattice has one code, _Lattice: exponents coded in unary by rank,
 so that componentwise max is bitwise OR and a weight of 10^9 is one bit,
-closed over one canonical point per orbit of the pattern's block
-permutations (the trivial group when there are none), and capped at
+closed over one canonical point per orbit of the pattern's symmetry (its
+block permutations, joined by the side swap when the two sides match;
+the trivial group when there are no blocks), and capped at
 MAX_LISTED_ENTRIES points."""
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .multidegree import (
     Multidegree,
     VariableSet,
+    _trusted,
     divides,
     gcd,
     lcm,
@@ -175,7 +177,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Multidegree]:
     if sum(lattice.sizes(points)) > MAX_LISTED_ENTRIES:
         raise ValueError(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
     variables, exponents = ideal.variables, lattice.exponents
-    return frozenset(Multidegree(variables, exponents(q)) for q in lattice.expand(points))
+    return frozenset(_trusted(variables, exponents(q)) for q in lattice.expand(points))
 
 
 def _block_classes(edges: Iterable[tuple[int, int]]) -> Optional[list[list[tuple[int, int]]]]:
@@ -217,6 +219,32 @@ def _block_classes(edges: Iterable[tuple[int, int]]) -> Optional[list[list[tuple
     return [blocks for blocks in classes if blocks]
 
 
+def _side_swap(classes: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """The pairs of variable indices that the side swap of a pattern with
+    these block classes (_block_classes) exchanges: each matched pair
+    (a, b), and the unmatched a's with the unmatched b's in order when
+    there are as many of each.  No pairs when those counts differ."""
+    pairs = [block for blocks in classes if blocks[0][0] != blocks[0][1] for block in blocks]
+    singles = [[a for a, _ in blocks] for blocks in classes if blocks[0][0] == blocks[0][1]]
+    if len(singles) == 1 or len(singles) == 2 and len(singles[0]) != len(singles[1]):
+        return []
+    return pairs + list(zip(*singles))
+
+
+def _byte_tables(images: list[int]) -> list[tuple[int, list[int]]]:
+    """For each byte of a code that holds a bit with a nonzero image: its
+    offset, and the table from the byte's value to the OR of the images of
+    its set bits."""
+    tables = []
+    for start in range(0, len(images), 8):
+        if any(images[start:start + 8]):
+            table = [0]
+            for image in images[start:start + 8]:
+                table += [t | image for t in table]
+            tables.append((start, table))
+    return tables
+
+
 class _Blocks:
     """One class of interchangeable blocks of code bits: k blocks (a, b),
     an unmatched vertex v being the block (v, v).
@@ -242,14 +270,10 @@ class _Blocks:
             self.b_bits.append(self.b_bits[-1] | 1 << b)
             self.spread.append((0, 1 << a, 1 << b, 1 << a | 1 << b))
         self.others = ~(self.a_bits[k] | self.b_bits[k])
-        # the word's bits from each byte of the code that holds a block bit
-        self.gathers = []
-        for start in range(0, width, 8):
-            if any(layout[start:start + 8]):
-                gather = [0]
-                for bits in layout[start:start + 8]:
-                    gather += [g | bits for g in gather]
-                self.gathers.append((start, gather))
+        self.gathers = _byte_tables(layout)
+        # state counts -> every placement of them over the last blocks, as
+        # many as the counts add up to; filled by orbit, for this lattice only
+        self.placements: dict[tuple[int, ...], list[int]] = {}
 
     def counts(self, point: int) -> tuple[int, int, int, int]:
         """The number of blocks in state 0, 1, 2 and 3."""
@@ -275,28 +299,30 @@ class _Blocks:
 
     def orbit(self, point: int) -> list[int]:
         """The point with its states placed over the blocks in every
-        distinct order.  The placements grow block by block, grouped by the
-        states still to place."""
-        counts = self.counts(point)
-        if self.k in counts:
-            return [point]
-        layer = {counts: [point & self.others]}
-        for row in self.spread:
-            grown: dict[tuple[int, ...], list[int]] = {}
-            for left, partial in layer.items():
-                for s, bit in enumerate(row):
-                    if left[s]:
-                        grown.setdefault(left[:s] + (left[s] - 1,) + left[s + 1:], []).extend(
-                            [m | bit for m in partial] if bit else partial
-                        )
-            layer = grown
-        (masks,) = layer.values()
+        distinct order."""
+        masks = self.placed(self.counts(point))
+        others = point & self.others
+        return [m | others for m in masks] if others else masks
+
+    def placed(self, left: tuple[int, ...]) -> list[int]:
+        """Every placement of these state counts over the last blocks, as
+        many as the counts add up to: the first of them takes each state
+        that is left, and the rest are placed as the table says."""
+        masks = self.placements.get(left)
+        if masks is None:
+            masks = []
+            for s, bit in enumerate(self.spread[self.k - sum(left)]):
+                if left[s]:
+                    fewer = left[:s] + (left[s] - 1,) + left[s + 1:]
+                    rest = self.placed(fewer) if any(fewer) else [0]
+                    masks += [m | bit for m in rest] if bit else rest
+            self.placements[left] = masks
         return masks
 
 
 class _Lattice:
     """The lcm lattice of an ideal, as orbits of its pattern's block
-    permutations on integer codes.
+    permutations and side swap on integer codes.
 
     Encoder: an exponent is coded in unary by its rank among the distinct
     nonzero exponents its variable takes in the generators, in a field of
@@ -310,9 +336,23 @@ class _Lattice:
     isomorphic (Gasharov-Peeva-Welker, The lcm-lattice in monomial
     resolutions, 1999).  When that pattern has block classes
     (_block_classes), the blocks of each class are interchangeable, and
-    the group acts on each class apart.  Every other ideal has no
-    classes, and then the group is trivial: canonical, sizes and expand
-    loop over no class, so each orbit is its one point.
+    the block group S acts on each class apart.  The side swap sigma
+    (_side_swap) exchanges the two vertices of each matched pair, and the
+    unmatched a's with the unmatched b's in order when there are as many
+    of each.  It maps each class onto a class, so it normalizes S, and
+    the group is S joined by sigma: an orbit is the S-orbit of p and that
+    of sigma p, its canonical point is the smaller of their S-canonical
+    points, and it is twice as large when the two differ.  Each class
+    and the swap are checked once against the generators.  Every other
+    ideal has no classes, and then the group is trivial: canonical, sizes
+    and expand loop over no class and no swap, so each orbit is its one
+    point.  On a crown on n pairs the group has 2 n! elements: n = 5 has
+    806 lattice points in 23 orbits, and n = 7 has 15,240 in 55.
+
+    Orbits: a class lists the placements of a point's states over its
+    blocks from a table keyed by the state counts still to place, which
+    the orbits of one lattice share; a lattice is built per call, so no
+    table outlives it.
 
     Closure: the group maps generators to generators, so the canonical
     points are the closure of the generators' own under p ->
@@ -349,6 +389,16 @@ class _Lattice:
         for blocks in self.classes:
             if sum(map(blocks.size, set(map(blocks.canonical, codes)))) != len(codes):
                 raise ValueError("the block action does not map the generators onto themselves")
+        # the side swap: the bits it keeps, and its images a byte at a time
+        self.swap: Optional[tuple[int, list[tuple[int, list[int]]]]] = None
+        if pairs := _side_swap(classes):
+            images = [0] * offset
+            for a, b in pairs:
+                images[a], images[b] = 1 << b, 1 << a
+            kept = ~sum(1 << k for k, image in enumerate(images) if image)
+            self.swap = kept, _byte_tables(images)
+            if set(map(self._swapped, codes)) != codes:
+                raise ValueError("the side swap does not map the generators onto themselves")
         # runs of whole fields, each of at most 8 bits or one wider field:
         # per run, its offset, its mask and its table from the run's bits to
         # their exponents, grown a field at a time as a byte table is, or,
@@ -373,7 +423,24 @@ class _Lattice:
         points = set(points)
         for blocks in self.classes:
             points = set(map(blocks.canonical, points))
+        if self.swap:
+            points = {min(p, self._mirror(p)) for p in points}
         return points
+
+    def _swapped(self, point: int) -> int:
+        """The point under the side swap."""
+        kept, tables = self.swap
+        swapped = point & kept
+        for start, table in tables:
+            swapped |= table[point >> start & 255]
+        return swapped
+
+    def _mirror(self, point: int) -> int:
+        """The block-canonical point of the swapped point."""
+        point = self._swapped(point)
+        for blocks in self.classes:
+            point = blocks.canonical(point)
+        return point
 
     def closure(self) -> set[int]:
         """The canonical point of every orbit of the lattice.  More than
@@ -403,10 +470,16 @@ class _Lattice:
         sizes = [1] * len(points)
         for blocks in self.classes:
             sizes = list(map(mul, sizes, map(blocks.size, points)))
+        if self.swap:
+            # the swap normalizes the block permutations, so the swapped
+            # orbit is as large, and it is another orbit or the same one
+            sizes = [size << (self._mirror(p) != p) for size, p in zip(sizes, points)]
         return sizes
 
     def expand(self, points: Iterable[int]) -> Iterable[int]:
         """Every point of the orbits of these canonical points."""
+        if self.swap:
+            points = [q for p in points for q in {p, self._mirror(p)}]
         for blocks in self.classes:
             points = [q for p in points for q in blocks.orbit(p)]
         return points

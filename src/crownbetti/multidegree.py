@@ -8,7 +8,9 @@ A Betti table holds one multidegree per entry, about 3^n for a crown on n
 pairs, so the type is kept cheap: it is slotted, its __init__ sets both slots
 through their descriptors, it hashes by its exponents alone, and each shape
 (s, t) shares one immutable variable set x1..xs, y1..yt, so comparing the
-variable sets of two entries of one table is an identity test.
+variable sets of two entries of one table is an identity test.  The lcm
+lattice's decoder only makes valid exponent tuples, so its points are
+built by _trusted, which skips the checks of __init__.
 """
 
 from __future__ import annotations
@@ -133,6 +135,17 @@ class Multidegree:
 
 
 _set_variables, _set_exponents = Multidegree.variables.__set__, Multidegree.exponents.__set__
+_new = object.__new__
+
+
+def _trusted(variables: VariableSet, exponents: tuple[int, ...]) -> Multidegree:
+    """The Multidegree with these exponents, built without the checks of
+    __init__: the exponents must be a tuple of len(variables) nonnegative
+    ints, as the lcm lattice's decoder makes them."""
+    m = _new(Multidegree)
+    _set_variables(m, variables)
+    _set_exponents(m, exponents)
+    return m
 
 
 def _check_same_variables(a: Multidegree, b: Multidegree) -> None:

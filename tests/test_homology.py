@@ -376,8 +376,11 @@ class TestBlockOrbits:
 
     @pytest.mark.parametrize("shape, weights", [
         ((5, 5, 5), (1, 2, 3, 1, 2)),
+        ((5, 5, 5), (1, 1, 10**9, 1, 1)),
         ((2, 4, 3), (10**9, 1, 2)),  # all three classes: two pairs, x3 and x4, y3
+        ((2, 4, 4), (10**9, 1, 2, 3)),  # the swap takes x3 and x4 to y3 and y4
         ((0, 3, 3), (1, 1, 1)),
+        ((0, 3, 3), (2, 10**9, 1)),
         ((3, 3, 4), (4, 3, 2, 1)),
     ])
     def test_orbits_cover_the_lattice(self, shape, weights):
@@ -392,9 +395,64 @@ class TestBlockOrbits:
         assert set(covered) == expected
         assert all(lattice.canonical(orbit) == {p} for p, orbit in zip(points, orbits))
 
+    @pytest.mark.parametrize("shape, pairs", [
+        # a crown swaps x_r and y_r; the unmatched x3, x4 go to y3, y4
+        ((5, 5, 5), [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]),
+        ((2, 4, 4), [(0, 4), (1, 5), (2, 6), (3, 7)]),
+        ((0, 3, 3), [(0, 3), (1, 4), (2, 5)]),
+        # one unmatched x and no unmatched y; one unmatched x and two y's
+        ((3, 4, 3), []),
+        ((2, 3, 4), []),
+    ])
+    def test_side_swap(self, shape, pairs):
+        ideal = edge_ideal(_xy_graph(*shape, (1,) * shape[2]))
+        lattice = ideals._Lattice(ideal)
+        edges = [(c.bit_length() - 1, (c & -c).bit_length() - 1) for c in lattice.codes]
+        assert ideals._side_swap(ideals._block_classes(edges)) == pairs
+        assert bool(lattice.swap) == bool(pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 3)],  # x1 and y1 alone: x1*y2 would go to y1*y2
+        [(0, 1)],  # x1 and x2, on one side: x1*y2 would go to x2*y2
+    ])
+    def test_a_fake_side_swap_is_refused(self, monkeypatch, pairs):
+        ideal = edge_ideal(crown(3, (1, 1, 1)))
+        monkeypatch.setattr(ideals, "_side_swap", lambda classes: pairs)
+        with pytest.raises(ValueError, match="side swap does not map the generators onto themselves"):
+            ideals._Lattice(ideal)
+        with pytest.raises(ValueError, match="side swap does not map the generators onto themselves"):
+            multigraded_betti(ideal)
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_block_orbit_lists_the_distinct_permutations(self, single):
+        # every count signature of k <= 5 blocks, matched pairs or unmatched
+        # vertices, with a bit outside the class set or not; the placement
+        # table is shared by the signatures of one class
+        for k in range(1, 6):
+            blocks = ideals._Blocks([(r, r if single else k + r) for r in range(k)], 2 * k + 1)
+            used = (0, 3) if single else (0, 1, 2, 3)
+            for states in itertools.combinations_with_replacement(used, k):
+                for extra in (0, 1 << 2 * k):
+                    def code(order):
+                        return extra | sum(blocks.spread[r][s] for r, s in enumerate(order))
+
+                    orbit = blocks.orbit(code(states))
+                    expected = {code(order) for order in itertools.permutations(states)}
+                    assert sorted(orbit) == sorted(expected)
+                    assert len(orbit) == blocks.size(code(states))
+
+    def test_a_fresh_lattice_has_empty_placement_tables(self):
+        ideal = edge_ideal(crown(5, (1, 2, 3, 1, 2)))
+        lattice = ideals._Lattice(ideal)
+        assert lattice.classes and not any(blocks.placements for blocks in lattice.classes)
+        lattice.expand(lattice.closure())
+        assert all(blocks.placements for blocks in lattice.classes)
+        assert not any(blocks.placements for blocks in ideals._Lattice(ideal).classes)
+
     def test_each_orbit_is_reduced_once(self, monkeypatch):
-        # crown n = 7 has 92 orbits of its pair permutations on its 15,240
-        # lattice points; the key is taken at one point of each
+        # crown n = 7 has 55 orbits of its pair permutations and side swap
+        # (92 of the pair permutations alone) on its 15,240 lattice points;
+        # the key is taken at one point of each
         keys, facet_key = [], homology._facet_key
 
         def counting(generators, exps):
@@ -403,11 +461,11 @@ class TestBlockOrbits:
 
         monkeypatch.setattr(homology, "_facet_key", counting)
         table = multigraded_betti(edge_ideal(crown(7, (1, 2, 3, 4, 5, 6, 7))))
-        assert len(keys) == len(set(keys)) == 92
+        assert len(keys) == len(set(keys)) == 55
         assert table == multigraded_betti_formula(7, (1, 2, 3, 4, 5, 6, 7))
 
     def test_a_table_past_the_cap_stops_early(self, monkeypatch):
-        # crown n = 6 has 60 orbits, at most 153 points in a round of the
+        # crown n = 6 has 37 orbits, at most 108 points in a round of the
         # closure and 2,511 entries: the running entry count passes a cap of
         # 200 long before the last orbit is reduced
         ideal = edge_ideal(crown(6, (1, 2, 3, 4, 5, 6)))

@@ -231,6 +231,18 @@ class TestDominant:
         assert is_dominant(minimalize(vs, gens))
 
 
+def assert_checked(points, variables):
+    """Each point equals the Multidegree that __init__ builds from its
+    exponents, with the same hash, and the two sort alike."""
+    points = sorted(points)
+    checked = [Multidegree(variables, a.exponents) for a in points]
+    assert points == checked == sorted(checked)
+    assert [hash(a) for a in points] == [hash(b) for b in checked]
+    for a in points:
+        assert type(a) is Multidegree and a.variables is variables
+        assert type(a.exponents) is tuple and all(type(e) is int for e in a.exponents)
+
+
 class TestLcmLattice:
     def test_two_generators(self):
         lattice = lcm_lattice(minimalize(V, [m(2, 0), m(1, 1)]))
@@ -316,6 +328,19 @@ class TestLcmLattice:
             }
             assert lcm_lattice(ideal) == brute
 
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(*[st.sampled_from([0, 1, 2, 10**9])] * 4), min_size=1, max_size=6))
+    def test_decoded_points_of_random_ideals_are_checked_multidegrees(self, exps):
+        v4 = VariableSet(("a", "b", "c", "d"))
+        ideal = minimalize(v4, [v4.monomial(e) for e in exps if any(e)])
+        assert_checked(lcm_lattice(ideal), v4)
+
+    @pytest.mark.parametrize("n, weights", [(4, (1, 2, 3, 4)), (5, (10**9, 1, 2, 1, 3))])
+    def test_decoded_points_of_crowns_are_checked_multidegrees(self, n, weights):
+        ideal = edge_ideal(crown(n, weights))
+        assert_checked(lcm_lattice(ideal), ideal.variables)
+        assert_checked({a for _, a in multigraded_betti(ideal).entries}, ideal.variables)
+
     def test_variables_of_many_levels_are_wide_fields(self):
         # x and y take 12 levels each, so each field is a run of 12 bits of
         # its own, between the one-bit runs of w and z
@@ -327,7 +352,7 @@ class TestLcmLattice:
 
     @pytest.mark.parametrize("cap", [1, 18, 40, 164])
     def test_orbit_lattice_past_the_cap_is_refused(self, monkeypatch, cap):
-        # crown n = 4: 165 points in 19 orbits, at most 32 points in a round
+        # crown n = 4: 165 points in 13 orbits, at most 28 points in a round
         # of the closure; the orbits are counted before any is expanded
         ideal = edge_ideal(crown(4, (1, 2, 3, 4)))
         monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", cap)
