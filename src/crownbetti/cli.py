@@ -8,7 +8,8 @@ Commands:
 
 Every integer on the command line is written as str(int) prints it: ASCII
 digits after an optional '-', with no leading zero; anything else exits 2.
-Exit codes: 0 success, 2 usage or parse error, 3 verification mismatch.
+Exit codes: 0 success, 2 usage or parse error, 3 verification mismatch,
+141 stdout closed by its reader before the report was written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -37,11 +39,12 @@ from .graphs import (
 from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
 from .ideals import MAX_LISTED_ENTRIES
 from .multidegree import VariableSet, _xy_variables
-from .render import _json_dict, _rows, _text_report, _write_json
+from .render import _report, _rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+EXIT_CLOSED_PIPE = 141  # what a shell shows for a filter killed by SIGPIPE
 
 # the most vertices s + t a shape may have: family answers at the cap in
 # about 0.2 s (shared 2-core host), and no weight tuple or variable name is
@@ -117,10 +120,7 @@ def _check_options(args, no_oracle: str = "", table: bool = True) -> None:
 def _emit(graded: dict[tuple[int, int], int], rows, variables: VariableSet, args) -> None:
     """Print the report of graded numbers `graded` and the sorted rows
     (i, exponents, count) of entries over `variables`."""
-    if args.output == "json":
-        _write_json(_json_dict(graded, rows), sys.stdout)
-    else:
-        print(_text_report(graded, rows, variables, args.multigraded, args.raw), end="")
+    sys.stdout.writelines(_report(graded, rows, variables, args.output, args.multigraded, args.raw))
 
 
 def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = "") -> int:
@@ -373,10 +373,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the exit flush writes what is left to devnull, so it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     finally:
         if enabled:
             gc.enable()

@@ -6,17 +6,17 @@ homological index, row r collects the graded entries with j - i = r.
 The pdim, reg and total lines come from homology._graded_summary, the
 rule BettiTable's own aggregates read.
 
-Every multigraded listing, the JSON rows and the --multigraded lines of
-every command alike, is written by one row writer, _row_texts: each row's
-exponent tuple is written from the cached texts of its two halves, and the
-rows are written 4096 at a time.
+Every report is written a piece at a time by one generator, _report; its
+listings, the JSON rows and the --multigraded lines alike, come from one
+row writer, _row_texts, which writes each exponent tuple from the cached
+texts of its two halves, 4096 rows at a time.  A table's rows are sorted
+only when a listing reads them: a text report sorts nothing.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import Any, TextIO
+from typing import Any, Iterator
 
 from .homology import BettiTable, _graded_summary
 from .multidegree import Multidegree, VariableSet
@@ -61,10 +61,11 @@ def graded_report(graded: dict[tuple[int, int], int], raw: bool = False) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _rows(table: BettiTable) -> list[tuple[int, tuple[int, ...], int]]:
+def _rows(table: BettiTable) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """The rows (i, exponents, count) of the table's entries in increasing
-    order; each row shares its entry's exponent tuple, and the tuples sort in C."""
-    return sorted((i, a.exponents, c) for (i, a), c in table.entries.items())
+    order, sorted at the first read; each row shares its entry's exponent
+    tuple, and the tuples sort in C."""
+    yield from sorted((i, a.exponents, c) for (i, a), c in table.entries.items())
 
 
 _CHUNK = 4096  # rows per text: joined at once, the n = 9 JSON listing peaks at 110 MB, not 69
@@ -115,28 +116,37 @@ def _row_texts(rows, h: int, names: tuple[str, ...] | None = None):
             ])
 
 
-def _text_report(
-    graded: dict[tuple[int, int], int], rows, variables: VariableSet, multigraded: bool, raw: bool
-) -> str:
-    """graded_report, then with `multigraded` one line "i  a  c" per row
-    (i, exponents, c) of the sorted `rows`, a being the monomial over `variables`
-    as str(Multidegree) writes it; the lines come from _row_texts."""
-    text = graded_report(graded, raw)
-    if multigraded:
-        names = variables.names
-        text += "\n" + "\n".join(_row_texts(rows, len(names) // 2, names)) + "\n"
-    return text
+def _report(graded: dict[tuple[int, int], int], rows, variables: VariableSet, output: str,
+            multigraded: bool, raw: bool) -> Iterator[str]:
+    """The report of graded numbers `graded` and the sorted rows (i, exponents,
+    count) over `variables`, a piece at a time: with `output` "json",
+    json.dumps(_json_dict(graded, rows), sort_keys=True) and a newline, the C
+    encoder writing all but the rows; else graded_report, then with
+    `multigraded` one line "i  a  c" per row, a being the monomial as
+    str(Multidegree) writes it.  Only a listing reads the rows."""
+    if output == "json":
+        head, tail = json.dumps(_json_dict(graded, []), sort_keys=True).split('"multigraded": []')
+        yield head + '"multigraded": ['
+        sep, end, names = ", ", "]" + tail + "\n", None
+    elif multigraded:
+        yield graded_report(graded, raw) + "\n"
+        sep, end, names = "\n", "\n", variables.names
+    else:
+        yield graded_report(graded, raw)
+        return
+    for k, text in enumerate(_row_texts(rows, len(variables) // 2, names)):
+        yield sep + text if k else text
+    yield end
 
 
 def report_text(table: BettiTable, multigraded: bool = False, raw: bool = False) -> str:
     """graded_report of the table, then with `multigraded` one line "i  a  c" per entry."""
-    return _text_report(table.graded(), _rows(table), table.variables, multigraded, raw)
+    return "".join(_report(table.graded(), _rows(table), table.variables, "text", multigraded, raw))
 
 
 def _json_dict(graded: dict[tuple[int, int], int], rows) -> dict[str, Any]:
     """The JSON document of graded numbers `graded` and the sorted rows
-    (i, exponents, count), kept as the iterable given: _write_json takes
-    them as they come."""
+    (i, exponents, count), kept as the iterable given."""
     pdim, reg, totals = _graded_summary(graded)
     return {
         "pdim": pdim,
@@ -149,24 +159,7 @@ def _json_dict(graded: dict[tuple[int, int], int], rows) -> dict[str, Any]:
 
 def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
     """The table's JSON document, its rows a list; json writes a tuple as an array."""
-    return _json_dict(table.graded(), _rows(table))
-
-
-def _write_json(doc: dict[str, Any], out: TextIO) -> None:
-    """Write json.dumps(doc, sort_keys=True) and a newline to `out`.  The C
-    encoder writes all but the rows; the rows, any iterable, are taken
-    4096 at a time and written by _row_texts from the cached texts of their
-    exponent tuples' halves (split at the middle of the first row), never
-    as one string and never held all at once."""
-    rows = iter(doc["multigraded"])
-    head, tail = json.dumps({**doc, "multigraded": []}, sort_keys=True).split('"multigraded": []')
-    out.write(head + '"multigraded": [')
-    first = next(rows, None)
-    h = 0 if first is None else len(first[1]) // 2
-    rows = rows if first is None else chain((first,), rows)
-    for k, text in enumerate(_row_texts(rows, h)):
-        out.write(", " + text if k else text)
-    out.write("]" + tail + "\n")
+    return _json_dict(table.graded(), list(_rows(table)))
 
 
 def table_from_json_dict(data: dict[str, Any], variables: VariableSet) -> BettiTable:

@@ -29,7 +29,7 @@ from crownbetti import (
     total_betti_closed_form,
     xy_variables,
 )
-from crownbetti.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from crownbetti.cli import EXIT_CLOSED_PIPE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -41,14 +41,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _import_cli_and_list(modules):
+def _src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _import_cli_and_list(modules):
     code = f"import sys, crownbetti.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     return out.stdout.strip()
 
@@ -161,15 +165,12 @@ class TestCrownCommand:
         for extra, out in expected.items():
             assert run(capsys, *argv, *extra) == (EXIT_OK, out, "")
 
-    def test_json_listing_streams_its_rows(self, monkeypatch):
-        # the rows are written a chunk at a time as they come: no write
-        # waits on more than one chunk beyond the rows written before it
+    @staticmethod
+    def streamed(monkeypatch, extra):
+        """The stdout of the n = 7 formula listing with `extra`, and the rows
+        pulled before each non-empty write."""
         import crownbetti.cli as cli_module
-        from crownbetti.render import _CHUNK
 
-        weights = (1, 3, 1, 2, 1, 2, 2)
-        expected = json.dumps(table_to_json_dict(multigraded_betti_formula(7, weights)),
-                              sort_keys=True) + "\n"
         pulled, rows = [0], cli_module._formula_rows
 
         def counting(*args):
@@ -187,9 +188,30 @@ class TestCrownCommand:
         monkeypatch.setattr(cli_module, "_formula_rows", counting)
         monkeypatch.setattr(sys, "stdout", out)
         argv = ["crown", "--n", "7", "--weights", "1,3,1,2,1,2,2", "--mode", "formula"]
-        assert main(argv + ["--output", "json"]) == EXIT_OK
-        assert out.getvalue() == expected
-        assert pulled[0] == 11026 and len(seen) == 5
+        assert main(argv + extra) == EXIT_OK
+        assert pulled[0] == 11026
+        return out.getvalue(), seen
+
+    def test_json_listing_streams_its_rows(self, monkeypatch):
+        # the rows are written a chunk at a time as they come: no write
+        # waits on more than one chunk beyond the rows written before it
+        from crownbetti.render import _CHUNK
+
+        table = multigraded_betti_formula(7, (1, 3, 1, 2, 1, 2, 2))
+        out, seen = self.streamed(monkeypatch, ["--output", "json"])
+        assert out == json.dumps(table_to_json_dict(table), sort_keys=True) + "\n"
+        assert len(seen) == 5
+        assert all(p <= k * _CHUNK for k, p in enumerate(seen)), seen
+
+    def test_text_listing_streams_its_rows(self, monkeypatch):
+        # the --multigraded lines go out in the same pieces, and report_text
+        # is those pieces joined
+        from crownbetti.render import _CHUNK
+
+        table = multigraded_betti_formula(7, (1, 3, 1, 2, 1, 2, 2))
+        out, seen = self.streamed(monkeypatch, ["--multigraded"])
+        assert out == report_text(table, multigraded=True)
+        assert len(seen) == 5
         assert all(p <= k * _CHUNK for k, p in enumerate(seen)), seen
 
     def test_formula_text_at_n30(self, capsys):
@@ -935,21 +957,107 @@ def test_multigraded_lines_follow_the_table_order(source):
     assert lines == [f"{i}  {a}  {c}" for (i, a), c in sorted(table.entries.items())]
 
 
+class TestTextReportsReadNoRows:
+    """A table's rows are sorted when a listing reads them, never for a text report."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        # "call" when a report asks for the rows, "read" when it reads them
+        import crownbetti.cli as cli_module
+        import crownbetti.render as render_module
+
+        real, events = render_module._rows, []
+
+        def spy(table):
+            events.append("call")
+
+            def rows():
+                events.append("read")
+                yield from real(table)
+
+            return rows()
+
+        monkeypatch.setattr(cli_module, "_rows", spy)
+        monkeypatch.setattr(render_module, "_rows", spy)
+        return events
+
+    @pytest.mark.parametrize(
+        "argv, events",
+        [
+            (("crown", "--n", "4", "--mode", "oracle"), ["call"]),
+            (("crown", "--n", "4", "--mode", "both"), ["call"]),
+            (("crown", "--n", "4", "--mode", "oracle", "--raw"), ["call"]),
+            (("graph", "DOC"), ["call"]),
+            (("family", "crown", "--params", "4", "--oracle"), ["call"]),
+            (("crown", "--n", "4", "--mode", "oracle", "--output", "json"), ["call", "read"]),
+            (("crown", "--n", "4", "--mode", "both", "--multigraded"), ["call", "read"]),
+            (("graph", "DOC", "--output", "json"), ["call", "read"]),
+            (("family", "crown", "--params", "4", "--oracle", "--multigraded"), ["call", "read"]),
+        ],
+    )
+    def test_only_a_listing_reads_the_rows(self, capsys, tmp_path, reads, argv, events):
+        doc = tmp_path / "graph.json"
+        doc.write_text(json.dumps(GRAPH_DOCUMENT))
+        code, _, _ = run(capsys, *(str(doc) if a == "DOC" else a for a in argv))
+        assert (code, reads) == (EXIT_OK, events)
+
+    def test_report_text_reads_rows_only_for_a_listing(self, reads):
+        table = multigraded_betti(edge_ideal(crown(4, (1, 2, 3, 1))))
+        report_text(table)
+        report_text(table, raw=True)
+        assert reads == ["call", "call"]
+        report_text(table, multigraded=True)
+        assert reads == ["call", "call", "call", "read"]
+
+    def test_rows_sort_at_the_first_read(self):
+        from crownbetti.render import _rows
+
+        class Watched(dict):
+            def items(self):
+                seen.append("items")
+                return super().items()
+
+        table, seen = multigraded_betti_formula(3, (1, 2, 1)), []
+        watched = BettiTable(table.variables, Watched(table.entries))
+        seen.clear()  # the table's own checks read the entries
+        rows = _rows(watched)
+        assert seen == []
+        assert list(rows) == sorted((i, a.exponents, c) for (i, a), c in table.entries.items())
+        assert seen == ["items"]
+
+
+@pytest.mark.parametrize("extra", [("--output", "json"), ("--multigraded",)])
+def test_a_closed_pipe_ends_the_listing_quietly(extra):
+    # the reader takes a few bytes and closes the pipe: no traceback, one exit code
+    argv = ("crown", "--n", "9", "--weights", "1,2,3,4,5,6,7,8,9", "--mode", "formula", *extra)
+    with subprocess.Popen(
+        [sys.executable, "-m", "crownbetti", *argv],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert len(head) == 10
+    assert (proc.returncode, err) == (EXIT_CLOSED_PIPE, b"")
+
+
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
 def test_json_writer_matches_one_shot_dumps(count):
     # the rows are encoded a slice of 4096 at a time; the bytes are json.dumps'
-    from crownbetti.render import _write_json
+    from crownbetti.render import _json_dict, _report
 
-    doc = {
+    graded = {(0, 1): 1, (1, 3): 2}
+    rows = [(k % 3, (k, 0, 10**9), 1 + k % 2) for k in range(count)]
+    doc = _json_dict(graded, rows)
+    assert doc == {
         "total": [1, 2],
-        "multigraded": [(k % 3, (k, 0, 10**9), 1 + k % 2) for k in range(count)],
+        "multigraded": rows,
         "pdim": 1,
         "graded": [[0, 1, 1], [1, 3, 2]],
         "reg": 2,
     }
-    out = io.StringIO()
-    _write_json(doc, out)
-    assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
+    pieces = _report(graded, iter(rows), VariableSet(("a", "b", "c")), "json", False, False)
+    assert "".join(pieces) == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def _listing(width, lows, highs, indices, counts):
@@ -991,19 +1099,19 @@ def _listings(draw):
 @settings(max_examples=60, deadline=None)
 def test_row_writer_matches_json_dumps_and_monomial_text(listing):
     # the writer joins cached half texts; the bytes are json.dumps' and str(Multidegree)'s
-    from crownbetti.render import _json_dict, _text_report, _write_json, graded_report
+    from crownbetti.render import _json_dict, _report, graded_report
 
     variables, rows = listing
     graded = Counter()
     for i, e, c in rows:
         graded[i, sum(e)] += c
     doc = _json_dict(graded, rows)
-    out = io.StringIO()
-    _write_json(doc, out)
-    assert out.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
+    assert "".join(_report(graded, rows, variables, "json", False, False)) == (
+        json.dumps(doc, sort_keys=True) + "\n"
+    )
     lines = [f"{i}  {Multidegree(variables, e)}  {c}" for i, e, c in rows]
     expected = graded_report(graded, raw=True) + "\n" + "\n".join(lines) + "\n"
-    assert _text_report(graded, rows, variables, True, True) == expected
+    assert "".join(_report(graded, rows, variables, "text", True, True)) == expected
 
 
 class TestCollectorPause:

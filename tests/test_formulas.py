@@ -318,7 +318,7 @@ def test_listing_is_the_table_and_adds_up_to_the_counted_numbers():
         listed = list(_formula_rows(m, s, t, weights))
         assert len(listed) == shape_entry_count(m, s, t, weights)
         assert strictly_increasing([(i, e) for i, e, _ in listed]), (m, s, t)
-        assert listed == _rows(shape_betti_formula(m, s, t, weights)), (m, s, t)
+        assert listed == list(_rows(shape_betti_formula(m, s, t, weights))), (m, s, t)
         graded = defaultdict(int)
         for i, e, c in listed:
             graded[i, sum(e)] += c
