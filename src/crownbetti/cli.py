@@ -8,7 +8,8 @@ Commands:
 
 Every integer on the command line is written as str(int) prints it: ASCII
 digits after an optional '-', with no leading zero; anything else exits 2.
-Exit codes: 0 success, 2 usage or parse error, 3 verification mismatch,
+Exit codes: 0 success, 2 usage or parse error, or a lattice or table past the
+library's cap (crown, family --oracle and graph alike), 3 verification mismatch,
 141 stdout closed by its reader before the report was written.
 """
 
@@ -36,7 +37,7 @@ from .graphs import (
     _xy_graph,
     edge_ideal,
 )
-from .homology import DEFAULT_PRIME, BettiTable, FieldSpec, multigraded_betti
+from .homology import DEFAULT_PRIME, FieldSpec, multigraded_betti
 from .ideals import MAX_LISTED_ENTRIES
 from .multidegree import VariableSet, _xy_variables
 from .render import _report, _rows
@@ -148,11 +149,25 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
         rows = _formula_rows(*shape, weights)
         _emit(shape_graded_formula(*shape, weights), rows, _xy_variables(*shape[1:]), args)
         return EXIT_OK
-    formula = shape_betti_formula(*shape, weights) if mode == "both" else None
-    table = multigraded_betti(edge_ideal(_xy_graph(*shape, weights)), field)
+    formula = (lambda: shape_betti_formula(*shape, weights)) if mode == "both" else None
+    return _oracle_report(edge_ideal(_xy_graph(*shape, weights)), field, args, head, formula)
+
+
+def _oracle_report(ideal, field: FieldSpec, args, head: str = "", formula=None) -> int:
+    """Print `head` and the report of the oracle table of `ideal` over `field`, or only
+    `head` and, on stderr, the first entry where the table `formula()` differs; the exit
+    code.  Past the library's cap it is a usage error, raised before `formula` runs."""
+    try:
+        table = multigraded_betti(ideal, field)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    closed = formula() if formula else None
     print(head, end="")
-    if mode == "both" and table != formula:
-        return _report_mismatch(table, formula)
+    if closed is not None and table != closed:
+        i, a = table.differences(closed)[0]
+        found, expected = table.entry(i, a), closed.entry(i, a)
+        print(f"mismatch at beta_({i}, {a}): oracle={found} formula={expected}", file=sys.stderr)
+        return EXIT_MISMATCH
     _emit(table.graded(), _rows(table), table.variables, args)
     return EXIT_OK
 
@@ -161,17 +176,6 @@ def cmd_crown(args) -> int:
     _check_options(args, no_oracle="--mode formula" if args.mode == "formula" else "")
     params = _parse_ints(args.n, "n must be an integer, got {!r}", maxsplit=0)
     return _shape_report(*_shape("crown", params, args.weights), args, args.mode)
-
-
-def _report_mismatch(oracle: BettiTable, formula: BettiTable) -> int:
-    """Print the first entry where the two tables differ; the mismatch code."""
-    i, a = oracle.differences(formula)[0]
-    print(
-        f"mismatch at beta_({i}, {a}): oracle={oracle.entry(i, a)} "
-        f"formula={formula.entry(i, a)}",
-        file=sys.stderr,
-    )
-    return EXIT_MISMATCH
 
 
 def _first_repeat(items):
@@ -250,13 +254,7 @@ def cmd_graph(args) -> int:
     ideal = edge_ideal(graph)
     if ideal.is_zero():
         raise UsageError("empty edge ideal: the graph has no edges")
-    field = _parse_field(args.field)
-    try:
-        table = multigraded_betti(ideal, field)
-    except ValueError as exc:  # a lattice or a table past the cap
-        raise UsageError(str(exc))
-    _emit(table.graded(), _rows(table), table.variables, args)
-    return EXIT_OK
+    return _oracle_report(ideal, _parse_field(args.field), args)
 
 
 def cmd_family(args) -> int:

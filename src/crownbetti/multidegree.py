@@ -123,15 +123,13 @@ class Multidegree:
         )
 
     def __str__(self) -> str:
-        if self.is_one():
-            return "1"
-        parts = []
-        for v, e in zip(self.variables.names, self.exponents):
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{e}")
-        return "*".join(parts)
+        return _monomial(self.variables.names, self.exponents) or "1"
+
+
+def _monomial(names: Sequence[str], exponents: Sequence[int]) -> str:
+    """The text of the monomial `exponents` over `names`, as every report writes
+    it: v or v^e for each nonzero exponent e, joined by "*"; "" for the monomial 1."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exponents) if e)
 
 
 _set_variables, _set_exponents = Multidegree.variables.__set__, Multidegree.exponents.__set__

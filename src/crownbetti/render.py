@@ -16,10 +16,11 @@ only when a listing reads them: a text report sorts nothing.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Iterator
 
 from .homology import BettiTable, _graded_summary
-from .multidegree import Multidegree, VariableSet
+from .multidegree import Multidegree, VariableSet, _monomial
 
 
 def _betti_diagram(graded: dict[tuple[int, int], int]) -> str:
@@ -83,12 +84,6 @@ class _Texts(dict):
         return text
 
 
-def _monomial(names: tuple[str, ...]):
-    """The writer of the monomial text str(Multidegree) gives over `names`,
-    but "" for the monomial 1."""
-    return lambda part: "*".join(v if x == 1 else f"{v}^{x}" for v, x in zip(names, part) if x)
-
-
 def _row_texts(rows, h: int, names: tuple[str, ...] | None = None):
     """The text of the sorted rows (i, exponents, count), _CHUNK rows at a
     time: the JSON arrays [i, [exponents], count] joined by ", ", or with
@@ -107,7 +102,7 @@ def _row_texts(rows, h: int, names: tuple[str, ...] | None = None):
         while chunk := [row for _, row in zip(range(_CHUNK), rows)]:
             yield ", ".join([f"[{i}, [{low[e[:h]]}{high[e[h:]]}], {c}]" for i, e, c in chunk])
     else:
-        low, high = _Texts(_monomial(names[:h])), _Texts(_monomial(names[h:]))
+        low, high = _Texts(partial(_monomial, names[:h])), _Texts(partial(_monomial, names[h:]))
         while chunk := [row for _, row in zip(range(_CHUNK), rows)]:
             yield "\n".join([
                 f"{i}  {lo + '*' + hi if lo and hi else lo or hi or '1'}  {c}"
@@ -163,17 +158,25 @@ def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
 
 
 def table_from_json_dict(data: dict[str, Any], variables: VariableSet) -> BettiTable:
-    """Inverse of table_to_json_dict over a known variable set; its rows may
-    be tuples or, as json.loads reads them, lists.  A row whose index,
-    exponents or count are not all of type int (a bool or a float is not),
-    or a second row at one (i, exponents), is a ValueError."""
+    """Inverse of table_to_json_dict over `variables`; its rows may be tuples or, as
+    json.loads reads them, lists.  A document without a "multigraded" list, or with a
+    row that is not [index, [exponents], count] of an entry in ints (a bool or a float
+    is not one) or repeats an (i, exponents), is a ValueError that names the row."""
+    rows = data.get("multigraded") if isinstance(data, dict) else None
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError('the document has no "multigraded" list of rows')
     entries: dict[tuple[int, Multidegree], int] = {}
-    for i, exps, c in data["multigraded"]:
-        exps = tuple(exps)
-        if not all(type(x) is int for x in (i, c, *exps)):
-            raise ValueError(f"row {[i, list(exps), c]}: index, exponents and count must be ints")
-        key = (i, Multidegree(variables, exps))
-        if key in entries:
-            raise ValueError(f"row {[i, list(exps), c]}: a second row at this index and exponents")
+    for row in rows:
+        try:
+            i, exps, c = row
+            if not all(type(x) is int for x in (i, c, *exps)):
+                raise ValueError("index, exponents and count must be ints")
+            if i < 0 or c < 1:
+                raise ValueError("the index must be at least 0 and the count at least 1")
+            key = (i, Multidegree(variables, exps))  # the right number of exponents, each >= 0
+            if key in entries:
+                raise ValueError("a second row at this index and exponents")
+        except (TypeError, ValueError) as exc:  # TypeError: a row or exponents not a sequence
+            raise ValueError(f"row {row!r}: {exc}") from None
         entries[key] = c
     return BettiTable(variables, entries)

@@ -498,6 +498,28 @@ class TestGraphCommand:
         monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 31)
         assert run(capsys, "graph", self.write_doc(tmp_path, disjoint))[0] == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("crown", "--n", "9", "--mode", "oracle"),
+            ("crown", "--n", "9", "--mode", "both"),
+            ("family", "crown", "--params", "9", "--oracle"),
+        ],
+        ids=["crown-oracle", "crown-both", "family-oracle"],
+    )
+    def test_table_past_the_library_cap_exits_2(self, capsys, monkeypatch, argv):
+        # the closed-form count of crown n = 9 (202,072 entries) is under the
+        # command's own cap, so the library's cap refuses the oracle table, as
+        # it does for graph: exit 2 at once, before any closed-form table is built
+        from crownbetti import ideals
+
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 1000)
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        message = "error: the table passes the cap of 1000 multigraded entries\n"
+        assert result == (EXIT_USAGE, "", message)
+
     @pytest.mark.parametrize("label", ["a*c", "", "a^2", "a c", " a", "a\n", "a\u00a0b"])
     def test_ambiguous_labels_rejected(self, capsys, tmp_path, label):
         # with the labels "a*c" and "b" the monomial a*c*b reads as three
@@ -1210,19 +1232,37 @@ def test_json_rows_share_the_exponent_tuples():
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "document, message",
     [
-        [[0, [1, 0, 0, 1], 1], [0, [1, 0, 0, 1], 2]],  # would merge into one entry of 2
-        [[0, [1, 0, 0, 1], True]],
-        [[0, [1, 0, 0, 1], 1.0]],
-        [[0, [1.5, 0, 0, 1], 1]],
-        [[0, [True, 0, 0, 1], 1]],
-        [[True, [1, 0, 0, 1], 1]],
+        # would merge into one entry of 2
+        (
+            {"multigraded": [[0, [1, 0, 0, 1], 1], [0, [1, 0, 0, 1], 2]]},
+            "row [0, [1, 0, 0, 1], 2]: a second row",
+        ),
+        ({"multigraded": [[0, [1, 0, 0, 1], True]]}, "row [0, [1, 0, 0, 1], True]: "),
+        ({"multigraded": [[0, [1, 0, 0, 1], 1.0]]}, "row [0, [1, 0, 0, 1], 1.0]: "),
+        ({"multigraded": [[0, [1.5, 0, 0, 1], 1]]}, "row [0, [1.5, 0, 0, 1], 1]: "),
+        ({"multigraded": [[0, [True, 0, 0, 1], 1]]}, "row [0, [True, 0, 0, 1], 1]: "),
+        ({"multigraded": [[True, [1, 0, 0, 1], 1]]}, "row [True, [1, 0, 0, 1], 1]: "),
+        ({"multigraded": [[5]]}, "row [5]: "),
+        ({"multigraded": [[0, 5, 1]]}, "row [0, 5, 1]: "),
+        ({"multigraded": [5]}, "row 5: "),
+        ({"multigraded": [[0, [1, 0, 1], 1]]}, "row [0, [1, 0, 1], 1]: expected 4 exponents"),
+        ({"multigraded": [[0, [1, 0, -1, 1], 1]]}, "row [0, [1, 0, -1, 1], 1]: negative exponent"),
+        ({"multigraded": [[-1, [1, 0, 0, 1], 1]]}, "row [-1, [1, 0, 0, 1], 1]: the index"),
+        ({"multigraded": [[0, [1, 0, 0, 1], 0]]}, "row [0, [1, 0, 0, 1], 0]: the index"),
+        ({"graded": []}, 'the document has no "multigraded" list of rows'),
+        ({"multigraded": 5}, 'the document has no "multigraded" list of rows'),
+        ([[0, [1, 0, 0, 1], 1]], 'the document has no "multigraded" list of rows'),
     ],
     ids=["repeated-row", "bool-count", "float-count", "float-exponent", "bool-exponent",
-         "bool-index"],
+         "bool-index", "short-row", "scalar-exponents", "scalar-row", "exponent-count",
+         "negative-exponent", "negative-index", "zero-count", "no-rows", "scalar-rows",
+         "not-an-object"],
 )
-def test_json_rows_are_refused_not_reinterpreted(rows):
-    # a document from outside is read as it is written, or refused
-    with pytest.raises(ValueError, match="row "):
-        table_from_json_dict({"multigraded": rows}, xy_variables(2))
+def test_json_rows_are_refused_not_reinterpreted(document, message):
+    # a document from outside is read as it is written, or refused with a
+    # ValueError that names the row
+    with pytest.raises(ValueError) as refused:
+        table_from_json_dict(document, xy_variables(2))
+    assert str(refused.value).startswith(message)

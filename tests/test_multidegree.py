@@ -85,6 +85,14 @@ class TestSupport:
         assert a.support() == {"x1", "x2", "y1", "y2"}
 
 
+class TestMonomialText:
+    def test_powers_above_one_and_the_unit(self):
+        v = xy_variables(2)
+        assert str(v.one()) == "1"
+        assert str(v.from_dict({"x2": 1, "y1": 10**9, "y2": 1})) == "x2*y1^1000000000*y2"
+        assert str(v.variable("x1", 2)) == "x1^2"
+
+
 class TestBinomial:
     def test_small_value(self):
         assert binomial(3, 2) == 3
