@@ -7,8 +7,12 @@ tests are both built on these.
 Tables are compared whole, by ``BettiTable.differences``: oracle against
 closed form, I against J + K + shifted J ∩ K, and each induced subgraph
 G[W] against the full table restricted to the entries supported in W.
-The colon chain behind the mapping-cone bound is checked by ideal
-arithmetic alone.
+That restriction and the support implication (an entry with supp(a) = W
+sits at i = pdim I(G[W])) share one walk over the vertex subsets W,
+check_induced_subgraphs, which computes each table of I(G[W]) once and
+returns both failure lists; ``verify`` prints them as two checks.  The
+colon chain behind the mapping-cone bound is checked by ideal arithmetic
+alone.
 """
 
 from __future__ import annotations
@@ -54,13 +58,19 @@ def check_formula_vs_oracle(
     return failures
 
 
-def check_restriction(
+def check_induced_subgraphs(
     n: int, weights: Sequence[int], field: FieldSpec = FieldSpec()
-) -> list[str]:
-    """Induced-subgraph restriction, table against table: for every vertex
-    subset W, the whole Betti table of I(G[W]) (empty when G[W] has no
-    edge) equals the full graph's table restricted to the entries (i, a)
-    with supp(a) inside W, at every homological index."""
+) -> tuple[list[str], list[str]]:
+    """One walk over the vertex subsets W of the crown, reading each table
+    of I(G[W]) once (empty when G[W] has no edge); the failures of the
+    restriction and of the support implication, in that order.
+
+    Restriction: the table of I(G[W]) equals the full graph's table
+    restricted to the entries (i, a) with supp(a) inside W, at every
+    homological index.  Support implication: every entry of the full table
+    with supp(a) = W has i equal to the pdim of that recomputed table of
+    I(G[W]); read off the full table alone, the pdim would miss an entry
+    moved one index up."""
     graph = crown(n, weights)
     full = multigraded_betti(edge_ideal(graph), field)
     empty = BettiTable(full.variables, {})
@@ -70,19 +80,49 @@ def check_restriction(
         (sum(1 << k for k, e in enumerate(a.exponents) if e), (i, a), c)
         for (i, a), c in full.entries.items()
     ]
-    failures = []
+    by_support: dict[int, list[tuple[int, Multidegree]]] = {}
+    for s, key, _ in supports:
+        by_support.setdefault(s, []).append(key)
+    restriction, support = [], []
     for size in range(len(vertices) + 1):
         for subset in combinations(range(len(vertices)), size):
             window, names = sum(1 << k for k in subset), [vertices[k] for k in subset]
             restricted = {key: c for s, key, c in supports if s | window == window}
             sub_ideal = edge_ideal(induced_subgraph(graph, names))
             sub = multigraded_betti(sub_ideal, field) if not sub_ideal.is_zero() else empty
-            failures.extend(
+            restriction.extend(
                 f"W={sorted(names)} beta_({i}, {a}): "
                 f"subgraph={sub.entry(i, a)} full={full.entry(i, a)}"
                 for i, a in sub.differences(BettiTable(full.variables, restricted))
             )
-    return failures
+            if window in by_support:
+                p = sub.pdim() if sub.entries else None
+                support.extend((i, a, p) for i, a in by_support[window] if p != i)
+    return restriction, [
+        f"beta_({i}, {a}) nonzero but G[supp] is edgeless" if p is None
+        else f"beta_({i}, {a}) nonzero but pdim(I(G[supp])) = {p}"
+        for i, a, p in sorted(support)
+    ]
+
+
+def check_restriction(
+    n: int, weights: Sequence[int], field: FieldSpec = FieldSpec()
+) -> list[str]:
+    """Induced-subgraph restriction, table against table: for every vertex
+    subset W, the whole Betti table of I(G[W]) (empty when G[W] has no
+    edge) equals the full graph's table restricted to the entries (i, a)
+    with supp(a) inside W, at every homological index.  The restriction
+    half of check_induced_subgraphs."""
+    return check_induced_subgraphs(n, weights, field)[0]
+
+
+def check_support_implication(
+    n: int, weights: Sequence[int], field: FieldSpec = FieldSpec()
+) -> list[str]:
+    """Every nonzero beta_{i,a} of the crown ideal has i equal to the
+    projective dimension of the edge ideal induced on supp(a).  The
+    support half of check_induced_subgraphs, so it pays for the whole walk."""
+    return check_induced_subgraphs(n, weights, field)[1]
 
 
 def check_crown_splitting(
@@ -163,25 +203,6 @@ def check_binomial_identity(n_max: int = 12) -> list[str]:
                     f"identity fails at n={n}, m={m}: "
                     f"{binomial(2 * n - 4, m)} != {rhs}"
                 )
-    return failures
-
-
-def check_support_implication(
-    n: int, weights: Sequence[int], field: FieldSpec = FieldSpec()
-) -> list[str]:
-    """Every nonzero beta_{i,a} of the crown ideal has i equal to the
-    projective dimension of the edge ideal induced on supp(a)."""
-    graph = crown(n, weights)
-    table = multigraded_betti(edge_ideal(graph), field)
-    failures = []
-    for i, a in sorted(table.entries):
-        sub_ideal = edge_ideal(induced_subgraph(graph, a.support()))
-        if sub_ideal.is_zero():
-            failures.append(f"beta_({i}, {a}) nonzero but G[supp] is edgeless")
-            continue
-        p = multigraded_betti(sub_ideal, field).pdim()
-        if p != i:
-            failures.append(f"beta_({i}, {a}) nonzero but pdim(I(G[supp])) = {p}")
     return failures
 
 

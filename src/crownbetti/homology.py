@@ -537,7 +537,7 @@ def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> B
             if ranks:
                 count += size * len(ranks)
                 if count > ideals.MAX_LISTED_ENTRIES:
-                    raise ValueError(
+                    raise ideals._PastCap(
                         f"the table passes the cap of {ideals.MAX_LISTED_ENTRIES} "
                         "multigraded entries"
                     )

@@ -32,6 +32,11 @@ from .multidegree import (
 MAX_LISTED_ENTRIES = 10**6
 
 
+class _PastCap(ValueError):
+    """A lattice or a table past MAX_LISTED_ENTRIES: the one ValueError that
+    says the input is too big, not that the code is wrong."""
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal (antichain) generating set.
@@ -175,7 +180,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Multidegree]:
     lattice = _Lattice(ideal)
     points = list(lattice.closure())
     if sum(lattice.sizes(points)) > MAX_LISTED_ENTRIES:
-        raise ValueError(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
+        raise _PastCap(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
     variables, exponents = ideal.variables, lattice.exponents
     return frozenset(_trusted(variables, exponents(q)) for q in lattice.expand(points))
 
@@ -461,7 +466,7 @@ class _Lattice:
             frontier = self.canonical(grown - points) - points
             points |= frontier
             if len(points) > MAX_LISTED_ENTRIES or len(grown) > MAX_LISTED_ENTRIES:
-                raise ValueError(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
+                raise _PastCap(f"the lcm lattice passes the cap of {MAX_LISTED_ENTRIES} points")
         return points
 
     def sizes(self, points: Sequence[int]) -> list[int]:

@@ -39,6 +39,66 @@ class TestRestriction:
         assert failures[0].endswith("subgraph=1 full=0")
 
 
+# the support-implication failures, read alone and as the walk's second list
+SUPPORT_READS = {
+    "alone": checks.check_support_implication,
+    "walk": lambda *args: checks.check_induced_subgraphs(*args)[1],
+}
+
+
+class TestSupportImplication:
+    @staticmethod
+    def plant(monkeypatch, change):
+        # only the first, full-table call is faulty: each subgraph table is
+        # recomputed, so the check must not read its pdim off the full table
+        calls = []
+
+        def faulty(ideal, field=FieldSpec()):
+            table = multigraded_betti(ideal, field)
+            calls.append(ideal)
+            if len(calls) == 1:
+                table = BettiTable(table.variables, change(dict(table.entries)))
+            return table
+
+        monkeypatch.setattr(checks, "multigraded_betti", faulty)
+
+    @pytest.mark.parametrize("read", SUPPORT_READS.values(), ids=SUPPORT_READS.keys())
+    def test_sees_an_entry_moved_one_index_up(self, monkeypatch, read):
+        i, a = max(multigraded_betti(edge_ideal(crown(3, (1, 1, 1)))).entries)
+
+        def moved(entries):
+            entries[(i + 1, a)] = entries.pop((i, a))
+            return entries
+
+        self.plant(monkeypatch, moved)
+        assert read(3, (1, 1, 1)) == [
+            f"beta_({i + 1}, {a}) nonzero but pdim(I(G[supp])) = {i}"
+        ]
+
+    @pytest.mark.parametrize("read", SUPPORT_READS.values(), ids=SUPPORT_READS.keys())
+    def test_sees_an_entry_on_an_edgeless_support(self, monkeypatch, read):
+        def added(entries):
+            x1 = next(iter(entries))[1].variables.variable("x1")
+            return {**entries, (0, x1): 1}
+
+        self.plant(monkeypatch, added)
+        assert read(3, (1, 1, 1)) == ["beta_(0, x1) nonzero but G[supp] is edgeless"]
+
+    def test_passes_on_the_walk_restriction_reads(self, monkeypatch):
+        calls = []
+
+        def counting(ideal, field=FieldSpec()):
+            calls.append(ideal)
+            return multigraded_betti(ideal, field)
+
+        monkeypatch.setattr(checks, "multigraded_betti", counting)
+        assert checks.check_restriction(3, (2, 1, 3)) == []
+        walk = len(calls)
+        # no subgraph table of its own: the same oracle calls, in the same order
+        assert checks.check_support_implication(3, (2, 1, 3)) == []
+        assert calls[walk:] == calls[:walk]
+
+
 class TestCrownSplittingCheck:
     def test_passes_with_each_table_computed_once(self, monkeypatch):
         ideals = []

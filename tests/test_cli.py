@@ -520,6 +520,24 @@ class TestGraphCommand:
         message = "error: the table passes the cap of 1000 multigraded entries\n"
         assert result == (EXIT_USAGE, "", message)
 
+    @pytest.mark.parametrize("command", ["crown", "graph"])
+    def test_broken_invariant_is_not_a_usage_error(self, capsys, monkeypatch, tmp_path, command):
+        # only the cap refusal exits 2: a side swap that does not map the
+        # generators onto themselves is a fault of the code, not of the input
+        from crownbetti import ideals
+
+        graph = crown(3, (1, 1, 1))
+        doc = {"vertices": list(graph.vertices.names), "edges": [list(e) for e in graph.edges]}
+        argv = {
+            "crown": ["crown", "--n", "3", "--mode", "oracle"],
+            "graph": ["graph", self.write_doc(tmp_path, doc)],
+        }[command]
+        monkeypatch.setattr(ideals, "_side_swap", lambda classes: [(0, 1)])
+        with pytest.raises(ValueError, match="^the side swap does not map") as raised:
+            main(argv)
+        assert not isinstance(raised.value, ideals._PastCap)
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("label", ["a*c", "", "a^2", "a c", " a", "a\n", "a\u00a0b"])
     def test_ambiguous_labels_rejected(self, capsys, tmp_path, label):
         # with the labels "a*c" and "b" the monomial a*c*b reads as three
@@ -728,8 +746,12 @@ class TestFieldOption:
             fields.add(field)
             return []
 
-        for name in ("check_formula_vs_oracle", "check_crown_splitting", "check_restriction"):
+        def recording_walk(n, weights, field):
+            return recording(n, weights, field), []
+
+        for name in ("check_formula_vs_oracle", "check_crown_splitting"):
             monkeypatch.setattr(checks, name, recording)
+        monkeypatch.setattr(checks, "check_induced_subgraphs", recording_walk)
         code, out, _ = run(capsys, "verify", "--n", "3")
         assert code == EXIT_OK and "FAIL" not in out
         assert fields == {FieldSpec(32003)}
@@ -797,7 +819,7 @@ class TestVerifyCommand:
 
         for name in (
             "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
-            "check_restriction", "check_binomial_identity",
+            "check_induced_subgraphs", "check_binomial_identity",
         ):
             monkeypatch.setattr(checks, name, refuse)
         code, out, err = run(capsys, "verify", "--n", "2..3", "--weights", "1,1")
@@ -808,13 +830,44 @@ class TestVerifyCommand:
         # the full sweep at n = 7 takes minutes, so every check is stubbed here
         for name in (
             "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
-            "check_restriction", "check_binomial_identity",
+            "check_binomial_identity",
         ):
             monkeypatch.setattr(checks, name, lambda *args: [])
+        monkeypatch.setattr(checks, "check_induced_subgraphs", lambda *args: ([], []))
         code, out, err = run(capsys, "verify", "--n", "7")
         assert code == EXIT_OK and err == ""
-        assert "PASS restriction n=7" in out.splitlines()
-        assert out.splitlines()[-1] == '{"checks": 11, "failures": 0}'
+        lines = out.splitlines()
+        at = lines.index("PASS restriction n=7")
+        assert lines[at + 1] == "PASS support-implication n=7"
+        assert lines[-1] == '{"checks": 12, "failures": 0}'
+
+    def test_each_line_is_flushed_before_the_next_check_runs(self, monkeypatch):
+        # stdout is buffered here, so a check sees only what verify flushed
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+        seen = []
+
+        def stub(*args):
+            seen.append(raw.getvalue().decode())
+            return []
+
+        for name in (
+            "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
+            "check_binomial_identity",
+        ):
+            monkeypatch.setattr(checks, name, stub)
+        monkeypatch.setattr(checks, "check_induced_subgraphs", lambda *args: (stub(), ["planted"]))
+        assert main(["verify", "--n", "3"]) == EXIT_MISMATCH
+        lines = raw.getvalue().decode().splitlines(keepends=True)
+        shown = ["".join(lines[:k]) for k in range(len(lines))]
+        # nine row checks, the walk, then the identity after the walk's two lines
+        assert seen == shown[:10] + [shown[11]]
+        assert lines[9:] == [
+            "PASS restriction n=3\n",
+            "FAIL support-implication n=3: planted\n",
+            "PASS binomial-identity n<=12\n",
+            '{"checks": 12, "failures": 1}\n',
+        ]
 
     @pytest.mark.parametrize("n_max", ["101", "100000000000000000000"])
     def test_n_max_is_guarded(self, capsys, monkeypatch, n_max):
@@ -824,7 +877,7 @@ class TestVerifyCommand:
 
         for name in (
             "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
-            "check_restriction", "check_binomial_identity",
+            "check_induced_subgraphs", "check_binomial_identity",
         ):
             monkeypatch.setattr(checks, name, refuse)
         assert run(capsys, "verify", "--n", "2", "--n-max", n_max) == (
@@ -832,8 +885,9 @@ class TestVerifyCommand:
         )
 
     def test_guard_admits_n_max_100(self, capsys, monkeypatch):
-        for name in ("check_formula_vs_oracle", "check_restriction", "check_binomial_identity"):
+        for name in ("check_formula_vs_oracle", "check_binomial_identity"):
             monkeypatch.setattr(checks, name, lambda *args: [])
+        monkeypatch.setattr(checks, "check_induced_subgraphs", lambda *args: ([], []))
         code, out, err = run(capsys, "verify", "--n", "2", "--n-max", "100")
         assert code == EXIT_OK and err == ""
         assert out.splitlines()[-2] == "PASS binomial-identity n<=100"
@@ -940,7 +994,7 @@ def test_integers_are_plain_digits(capsys, monkeypatch, tmp_path, option, text):
         monkeypatch.setattr(cli_module, name, refuse)
     for name in (
         "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
-        "check_restriction", "check_binomial_identity",
+        "check_induced_subgraphs", "check_binomial_identity",
     ):
         monkeypatch.setattr(checks, name, refuse)
     doc = tmp_path / "graph.json"
