@@ -3,18 +3,20 @@ intersection, dominance, and the lcm lattice.
 
 The lcm lattice has one code, _Lattice: exponents coded in unary by rank,
 so that componentwise max is bitwise OR and a weight of 10^9 is one bit,
-closed over one canonical point per orbit of the pattern's symmetry (its
-block permutations, joined by the side swap when the two sides match;
-the trivial group when there are no blocks), and capped at
-MAX_LISTED_ENTRIES points."""
+closed over one canonical point per orbit of the pattern's symmetry, and
+capped at MAX_LISTED_ENTRIES points.  The symmetry has one code as well:
+a point's state, the number of blocks of each class in each state, on
+which the block permutations act trivially and the side swap, when the
+two sides match, by exchanging classes and states; with no blocks the
+group is trivial."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb
-from operator import getitem, mul
-from typing import Iterable, Optional, Sequence
+from math import comb, prod
+from operator import getitem, itemgetter
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .multidegree import (
     Multidegree,
@@ -224,30 +226,20 @@ def _block_classes(edges: Iterable[tuple[int, int]]) -> Optional[list[list[tuple
     return [blocks for blocks in classes if blocks]
 
 
-def _side_swap(classes: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
-    """The pairs of variable indices that the side swap of a pattern with
-    these block classes (_block_classes) exchanges: each matched pair
-    (a, b), and the unmatched a's with the unmatched b's in order when
-    there are as many of each.  No pairs when those counts differ."""
-    pairs = [block for blocks in classes if blocks[0][0] != blocks[0][1] for block in blocks]
-    singles = [[a for a, _ in blocks] for blocks in classes if blocks[0][0] == blocks[0][1]]
-    if len(singles) == 1 or len(singles) == 2 and len(singles[0]) != len(singles[1]):
-        return []
-    return pairs + list(zip(*singles))
-
-
-def _byte_tables(images: list[int]) -> list[tuple[int, list[int]]]:
-    """For each byte of a code that holds a bit with a nonzero image: its
-    offset, and the table from the byte's value to the OR of the images of
-    its set bits."""
-    tables = []
-    for start in range(0, len(images), 8):
-        if any(images[start:start + 8]):
-            table = [0]
-            for image in images[start:start + 8]:
-                table += [t | image for t in table]
-            tables.append((start, table))
-    return tables
+def _side_swap(classes: list[list[tuple[int, int]]]) -> Optional[list[int]]:
+    """The class image of the side swap of a pattern with these block
+    classes (_block_classes): the swap exchanges the two vertices of each
+    matched pair, so a matched class maps to itself, and the unmatched a's
+    with the unmatched b's, so the two unmatched classes map to each other.
+    None when there are not as many unmatched a's as unmatched b's."""
+    image = list(range(len(classes)))
+    singles = [c for c in image if classes[c][0][0] == classes[c][0][1]]
+    if singles:
+        if len(singles) == 1 or len(classes[singles[0]]) != len(classes[singles[1]]):
+            return None
+        a, b = singles
+        image[a], image[b] = b, a
+    return image
 
 
 class _Blocks:
@@ -255,11 +247,11 @@ class _Blocks:
     an unmatched vertex v being the block (v, v).
 
     On a block a point is in state 0..3, (bit a) + 2 (bit b); an unmatched
-    vertex is in state 0 or 3.  The class's part of an orbit is fixed by
-    the number of its blocks in each state, and the canonical part puts
-    the states in block order from the highest down.  The states are
-    counted on a word with bit r for block r's a and bit k + r for its b,
-    gathered from the code a byte at a time.
+    vertex is in state 0 or 3.  The class's part of a point's orbit under
+    the block permutations is fixed by its counts, the number of its blocks
+    in each state; place puts them in block order from the highest state
+    down.  The states are counted on a word with bit r for block r's a and
+    bit k + r for its b, gathered from the code a byte at a time.
     """
 
     def __init__(self, blocks: list[tuple[int, int]], width: int):
@@ -274,10 +266,17 @@ class _Blocks:
             self.a_bits.append(self.a_bits[-1] | 1 << a)
             self.b_bits.append(self.b_bits[-1] | 1 << b)
             self.spread.append((0, 1 << a, 1 << b, 1 << a | 1 << b))
-        self.others = ~(self.a_bits[k] | self.b_bits[k])
-        self.gathers = _byte_tables(layout)
+        # for each byte of the code that holds a block bit: its offset, and
+        # the table from the byte's value to its bits' places in the word
+        self.gathers = []
+        for start in range(0, width, 8):
+            if any(layout[start:start + 8]):
+                table = [0]
+                for place in layout[start:start + 8]:
+                    table += [t | place for t in table]
+                self.gathers.append((start, table))
         # state counts -> every placement of them over the last blocks, as
-        # many as the counts add up to; filled by orbit, for this lattice only
+        # many as the counts add up to; filled by placed, for this lattice only
         self.placements: dict[tuple[int, ...], list[int]] = {}
 
     def counts(self, point: int) -> tuple[int, int, int, int]:
@@ -291,23 +290,17 @@ class _Blocks:
         one, two = a.bit_count() - both, b.bit_count() - both
         return k - both - one - two, one, two, both
 
-    def canonical(self, point: int) -> int:
-        """The point with the class's blocks in state 3, then 2, then 1."""
-        _, one, two, both = self.counts(point)
-        a_bits, b_bits, mid = self.a_bits, self.b_bits, both + two
-        return point & self.others | a_bits[both] | b_bits[mid] | a_bits[mid + one] ^ a_bits[mid]
+    def place(self, counts: tuple[int, ...]) -> int:
+        """The canonical placement of these counts: blocks in state 3, then
+        2, then 1."""
+        _, one, two, both = counts
+        a_bits, mid = self.a_bits, both + two
+        return a_bits[both] | self.b_bits[mid] | a_bits[mid + one] ^ a_bits[mid]
 
-    def size(self, point: int) -> int:
-        """The number of ways to place the point's states over the blocks."""
-        zero, one, two, both = self.counts(point)
+    def size(self, counts: tuple[int, ...]) -> int:
+        """The number of ways to place these counts over the blocks."""
+        zero, one, two, both = counts
         return comb(self.k, both) * comb(self.k - both, two) * comb(zero + one, one)
-
-    def orbit(self, point: int) -> list[int]:
-        """The point with its states placed over the blocks in every
-        distinct order."""
-        masks = self.placed(self.counts(point))
-        others = point & self.others
-        return [m | others for m in masks] if others else masks
 
     def placed(self, left: tuple[int, ...]) -> list[int]:
         """Every placement of these state counts over the last blocks, as
@@ -325,9 +318,15 @@ class _Blocks:
         return masks
 
 
+# a point's state: each block class's counts of blocks in state 0, 1, 2, 3
+_State = tuple[tuple[int, int, int, int], ...]
+# one class's counts with states 1 and 2 exchanged
+_exchanged = itemgetter(0, 2, 1, 3)
+
+
 class _Lattice:
-    """The lcm lattice of an ideal, as orbits of its pattern's block
-    permutations and side swap on integer codes.
+    """The lcm lattice of an ideal, as orbits of its pattern's symmetry on
+    integer codes.
 
     Encoder: an exponent is coded in unary by its rank among the distinct
     nonzero exponents its variable takes in the generators, in a field of
@@ -340,24 +339,24 @@ class _Lattice:
     squarefree pattern under x_k -> x_k^{c_k}; the two lcm lattices are
     isomorphic (Gasharov-Peeva-Welker, The lcm-lattice in monomial
     resolutions, 1999).  When that pattern has block classes
-    (_block_classes), the blocks of each class are interchangeable, and
-    the block group S acts on each class apart.  The side swap sigma
-    (_side_swap) exchanges the two vertices of each matched pair, and the
-    unmatched a's with the unmatched b's in order when there are as many
-    of each.  It maps each class onto a class, so it normalizes S, and
-    the group is S joined by sigma: an orbit is the S-orbit of p and that
-    of sigma p, its canonical point is the smaller of their S-canonical
-    points, and it is twice as large when the two differ.  Each class
-    and the swap are checked once against the generators.  Every other
-    ideal has no classes, and then the group is trivial: canonical, sizes
-    and expand loop over no class and no swap, so each orbit is its one
-    point.  On a crown on n pairs the group has 2 n! elements: n = 5 has
-    806 lattice points in 23 orbits, and n = 7 has 15,240 in 55.
+    (_block_classes), the blocks of each class are interchangeable, and a
+    point's state, the tuple of its classes' counts (_Blocks.counts), is
+    its orbit under the block permutations.  The side swap (_side_swap)
+    maps each class onto a class, so it normalizes the block permutations
+    and acts on states: it reads each class's counts from the class's
+    image, with states 1 and 2 exchanged.  An orbit of the whole group is
+    a state and its swapped state, its canonical point is the smaller of
+    their placements (_Blocks.place), and it is twice as large when the
+    two states differ.  The block permutations and the swap are each
+    checked once against the generators.  Every other ideal has no
+    classes, and then the group is trivial: canonical, sizes and expand
+    pass the points through, so each orbit is its one point.  On a crown
+    on n pairs the group has 2 n! elements: n = 5 has 806 lattice points
+    in 23 orbits, and n = 7 has 15,240 in 55.
 
-    Orbits: a class lists the placements of a point's states over its
-    blocks from a table keyed by the state counts still to place, which
-    the orbits of one lattice share; a lattice is built per call, so no
-    table outlives it.
+    Orbits: a class lists the placements of its counts over its blocks from
+    a table keyed by the counts still to place, which the orbits of one
+    lattice share; a lattice is built per call, so no table outlives it.
 
     Closure: the group maps generators to generators, so the canonical
     points are the closure of the generators' own under p ->
@@ -389,20 +388,21 @@ class _Lattice:
             edges = ((c.bit_length() - 1, (c & -c).bit_length() - 1) for c in codes)
             classes = _block_classes(edges) or []
         self.classes = [_Blocks(blocks, offset) for blocks in classes]
-        # a class's permutations map the generators onto themselves exactly
-        # when the generators' orbits under them hold no other point
-        for blocks in self.classes:
-            if sum(map(blocks.size, set(map(blocks.canonical, codes)))) != len(codes):
+        self.swap: Optional[list[int]] = None
+        if classes:
+            # the blocks hold every bit of the codes, so a code is a
+            # placement of its state, and a group maps the generators onto
+            # themselves exactly when their orbits, counted from their
+            # states, hold no other point
+            held = sum(blocks.a_bits[-1] | blocks.b_bits[-1] for blocks in self.classes)
+
+            def orbit_points() -> int:
+                return sum(self.sizes(list(self.canonical(codes))))
+
+            if any(c & ~held for c in codes) or orbit_points() != len(codes):
                 raise ValueError("the block action does not map the generators onto themselves")
-        # the side swap: the bits it keeps, and its images a byte at a time
-        self.swap: Optional[tuple[int, list[tuple[int, list[int]]]]] = None
-        if pairs := _side_swap(classes):
-            images = [0] * offset
-            for a, b in pairs:
-                images[a], images[b] = 1 << b, 1 << a
-            kept = ~sum(1 << k for k, image in enumerate(images) if image)
-            self.swap = kept, _byte_tables(images)
-            if set(map(self._swapped, codes)) != codes:
+            self.swap = _side_swap(classes)
+            if self.swap and orbit_points() != len(codes):
                 raise ValueError("the side swap does not map the generators onto themselves")
         # runs of whole fields, each of at most 8 bits or one wider field:
         # per run, its offset, its mask and its table from the run's bits to
@@ -423,29 +423,30 @@ class _Lattice:
                 table = [t + (e,) for e in values for t in table]
             self.tables.append((start, (1 << off + width - start) - 1, table))
 
+    def _states(self, points: Collection[int]) -> Iterator[_State]:
+        """The state of each of these points: the counts of each class, the
+        point's orbit under the block permutations."""
+        return zip(*[map(blocks.counts, points) for blocks in self.classes])
+
+    def _swapped(self, state: _State) -> _State:
+        """The state under the side swap."""
+        return tuple([_exchanged(state[c]) for c in self.swap])
+
+    def _place(self, state: _State) -> int:
+        """The canonical placement of the state; the classes' bits are
+        disjoint, so their sum is their OR."""
+        return sum(map(_Blocks.place, self.classes, state))
+
     def canonical(self, points: Iterable[int]) -> set[int]:
         """The canonical points of the orbits of these points."""
         points = set(points)
-        for blocks in self.classes:
-            points = set(map(blocks.canonical, points))
+        if not self.classes:
+            return points
+        states = set(self._states(points))
+        place, swapped = self._place, self._swapped
         if self.swap:
-            points = {min(p, self._mirror(p)) for p in points}
-        return points
-
-    def _swapped(self, point: int) -> int:
-        """The point under the side swap."""
-        kept, tables = self.swap
-        swapped = point & kept
-        for start, table in tables:
-            swapped |= table[point >> start & 255]
-        return swapped
-
-    def _mirror(self, point: int) -> int:
-        """The block-canonical point of the swapped point."""
-        point = self._swapped(point)
-        for blocks in self.classes:
-            point = blocks.canonical(point)
-        return point
+            return {min(place(s), place(swapped(s))) for s in states}
+        return set(map(place, states))
 
     def closure(self) -> set[int]:
         """The canonical point of every orbit of the lattice.  More than
@@ -472,22 +473,28 @@ class _Lattice:
     def sizes(self, points: Sequence[int]) -> list[int]:
         """The number of points in the orbit of each of these canonical
         points."""
-        sizes = [1] * len(points)
-        for blocks in self.classes:
-            sizes = list(map(mul, sizes, map(blocks.size, points)))
-        if self.swap:
+        if not self.classes:
+            return [1] * len(points)
+        sizes = []
+        for state in self._states(points):
+            size = prod(map(_Blocks.size, self.classes, state))
             # the swap normalizes the block permutations, so the swapped
             # orbit is as large, and it is another orbit or the same one
-            sizes = [size << (self._mirror(p) != p) for size, p in zip(sizes, points)]
+            sizes.append(size << (self.swap is not None and self._swapped(state) != state))
         return sizes
 
     def expand(self, points: Iterable[int]) -> Iterable[int]:
         """Every point of the orbits of these canonical points."""
-        if self.swap:
-            points = [q for p in points for q in {p, self._mirror(p)}]
-        for blocks in self.classes:
-            points = [q for p in points for q in blocks.orbit(p)]
-        return points
+        if not self.classes:
+            return points
+        out: list[int] = []
+        for state in self._states(list(points)):
+            for each in {state, self._swapped(state)} if self.swap else (state,):
+                placed, *others = map(_Blocks.placed, self.classes, each)
+                for masks in others:
+                    placed = [q | m for m in masks for q in placed]
+                out += placed
+        return out
 
     def exponents(self, point: int) -> tuple[int, ...]:
         """The point's exponents in the ideal, a run of fields at a time."""

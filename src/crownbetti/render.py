@@ -158,10 +158,11 @@ def table_to_json_dict(table: BettiTable) -> dict[str, Any]:
 
 
 def table_from_json_dict(data: dict[str, Any], variables: VariableSet) -> BettiTable:
-    """Inverse of table_to_json_dict over `variables`; its rows may be tuples or, as
-    json.loads reads them, lists.  A document without a "multigraded" list, or with a
-    row that is not [index, [exponents], count] of an entry in ints (a bool or a float
-    is not one) or repeats an (i, exponents), is a ValueError that names the row."""
+    """Inverse of table_to_json_dict over `variables`; its rows and their exponents may
+    be tuples or, as json.loads reads them, lists.  A document without a "multigraded"
+    list, or with a row that is not [index, [exponents], count] of an entry in ints (a
+    bool or a float is not one, and exponents in a dict, a set or a range are not a
+    list) or repeats an (i, exponents), is a ValueError that names the row."""
     rows = data.get("multigraded") if isinstance(data, dict) else None
     if not isinstance(rows, (list, tuple)):
         raise ValueError('the document has no "multigraded" list of rows')
@@ -169,6 +170,8 @@ def table_from_json_dict(data: dict[str, Any], variables: VariableSet) -> BettiT
     for row in rows:
         try:
             i, exps, c = row
+            if not isinstance(exps, (list, tuple)):
+                raise ValueError("the exponents must be a list")
             if not all(type(x) is int for x in (i, c, *exps)):
                 raise ValueError("index, exponents and count must be ints")
             if i < 0 or c < 1:
@@ -176,7 +179,7 @@ def table_from_json_dict(data: dict[str, Any], variables: VariableSet) -> BettiT
             key = (i, Multidegree(variables, exps))  # the right number of exponents, each >= 0
             if key in entries:
                 raise ValueError("a second row at this index and exponents")
-        except (TypeError, ValueError) as exc:  # TypeError: a row or exponents not a sequence
+        except (TypeError, ValueError) as exc:  # TypeError: a row that is not a sequence
             raise ValueError(f"row {row!r}: {exc}") from None
         entries[key] = c
     return BettiTable(variables, entries)

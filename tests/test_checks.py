@@ -99,6 +99,27 @@ class TestSupportImplication:
         assert calls[walk:] == calls[:walk]
 
 
+class TestFormulaVsOracle:
+    def test_passes_on_crown4(self):
+        assert checks.check_formula_vs_oracle(4, (1, 2, 1, 3)) == []
+
+    def test_sees_a_dropped_top_index_in_the_totals(self, monkeypatch):
+        # the oracle loses its top index 2n - 3 = 5: its own total sequence
+        # stops at 4, so the totals are compared up to the closed form's 5
+        def dropped(ideal, field=FieldSpec()):
+            table = multigraded_betti(ideal, field)
+            top = table.pdim()
+            entries = {(i, a): c for (i, a), c in table.entries.items() if i != top}
+            return BettiTable(table.variables, entries)
+
+        monkeypatch.setattr(checks, "multigraded_betti", dropped)
+        assert checks.check_formula_vs_oracle(4, (1, 1, 1, 1)) == [
+            "beta_(5, x1*x2*x3*x4*y1*y2*y3*y4) oracle=0 formula=3",
+            "totals oracle=[12, 30, 38, 32, 16, 0] closed form=[12, 30, 38, 32, 16, 3]",
+            "alternating sum 1 - b0 + b1 - ... = -3, expected 0",
+        ]
+
+
 class TestCrownSplittingCheck:
     def test_passes_with_each_table_computed_once(self, monkeypatch):
         ideals = []

@@ -523,7 +523,10 @@ class TestGraphCommand:
     @pytest.mark.parametrize("command", ["crown", "graph"])
     def test_broken_invariant_is_not_a_usage_error(self, capsys, monkeypatch, tmp_path, command):
         # only the cap refusal exits 2: a side swap that does not map the
-        # generators onto themselves is a fault of the code, not of the input
+        # generators onto themselves is a fault of the code, not of the input.
+        # The crown is read as the pairs x1 y1 and x2 y2 with x3 and y3
+        # unmatched, which its symmetry allows, and the planted swap keeps
+        # x3 and y3: x1*y3 would go to y1*y3
         from crownbetti import ideals
 
         graph = crown(3, (1, 1, 1))
@@ -532,7 +535,8 @@ class TestGraphCommand:
             "crown": ["crown", "--n", "3", "--mode", "oracle"],
             "graph": ["graph", self.write_doc(tmp_path, doc)],
         }[command]
-        monkeypatch.setattr(ideals, "_side_swap", lambda classes: [(0, 1)])
+        monkeypatch.setattr(ideals, "_block_classes", lambda edges: [[(0, 3), (1, 4)], [(2, 2)], [(5, 5)]])
+        monkeypatch.setattr(ideals, "_side_swap", lambda classes: [0, 1, 2])
         with pytest.raises(ValueError, match="^the side swap does not map") as raised:
             main(argv)
         assert not isinstance(raised.value, ideals._PastCap)
@@ -1300,6 +1304,14 @@ def test_json_rows_share_the_exponent_tuples():
         ({"multigraded": [[True, [1, 0, 0, 1], 1]]}, "row [True, [1, 0, 0, 1], 1]: "),
         ({"multigraded": [[5]]}, "row [5]: "),
         ({"multigraded": [[0, 5, 1]]}, "row [0, 5, 1]: "),
+        # a dict was read as its keys (1, 0, 3, 2), its values dropped, and
+        # a set or a range as its members
+        (
+            {"multigraded": [(0, {1: 5, 0: 3, 3: 1, 2: 2}, 1)]},
+            "row (0, {1: 5, 0: 3, 3: 1, 2: 2}, 1): the exponents must be a list",
+        ),
+        ({"multigraded": [(0, {0, 1, 2, 3}, 1)]}, "row (0, {0, 1, 2, 3}, 1): the exponents must be"),
+        ({"multigraded": [(0, range(4), 1)]}, "row (0, range(0, 4), 1): the exponents must be"),
         ({"multigraded": [5]}, "row 5: "),
         ({"multigraded": [[0, [1, 0, 1], 1]]}, "row [0, [1, 0, 1], 1]: expected 4 exponents"),
         ({"multigraded": [[0, [1, 0, -1, 1], 1]]}, "row [0, [1, 0, -1, 1], 1]: negative exponent"),
@@ -1310,7 +1322,8 @@ def test_json_rows_share_the_exponent_tuples():
         ([[0, [1, 0, 0, 1], 1]], 'the document has no "multigraded" list of rows'),
     ],
     ids=["repeated-row", "bool-count", "float-count", "float-exponent", "bool-exponent",
-         "bool-index", "short-row", "scalar-exponents", "scalar-row", "exponent-count",
+         "bool-index", "short-row", "scalar-exponents", "dict-exponents", "set-exponents",
+         "range-exponents", "scalar-row", "exponent-count",
          "negative-exponent", "negative-index", "zero-count", "no-rows", "scalar-rows",
          "not-an-object"],
 )

@@ -283,6 +283,18 @@ def plain_closure(ideal):
     return points
 
 
+def _pairwise_swap(classes):
+    """The side swap as pairs of variable indices, the reference for the
+    class image of ideals._side_swap: each matched pair (a, b), and the
+    unmatched a's with the unmatched b's in order when there are as many of
+    each.  No pairs when those counts differ."""
+    pairs = [block for blocks in classes if blocks[0][0] != blocks[0][1] for block in blocks]
+    singles = [[a for a, _ in blocks] for blocks in classes if blocks[0][0] == blocks[0][1]]
+    if len(singles) == 1 or len(singles) == 2 and len(singles[0]) != len(singles[1]):
+        return []
+    return pairs + list(zip(*singles))
+
+
 SHAPES8 = [
     (m, s, t)
     for s in range(1, 8)
@@ -359,6 +371,15 @@ class TestBlockOrbits:
         with pytest.raises(ValueError, match="does not map the generators onto themselves"):
             multigraded_betti(ideal)
 
+    def test_classes_that_miss_a_code_bit_are_refused(self, monkeypatch):
+        # the pairs x1 y1 and x2 y2 alone do permute the crown's generators,
+        # and their orbits count up to the 6 generators, but a state would
+        # not hold x3 or y3
+        ideal = edge_ideal(crown(3, (1, 1, 1)))
+        monkeypatch.setattr(ideals, "_block_classes", lambda edges: [[(0, 3), (1, 4)]])
+        with pytest.raises(ValueError, match="block action does not map the generators onto themselves"):
+            ideals._Lattice(ideal)
+
     @pytest.mark.parametrize("edges, blocks", [
         # K_{2,3} minus one edge, listed with the lower side second
         ([(3, 1), (4, 0), (4, 1), (2, 0), (2, 1)], [[(0, 3)], [(1, 1)], [(2, 2), (4, 4)]]),
@@ -405,19 +426,32 @@ class TestBlockOrbits:
         ((2, 3, 4), []),
     ])
     def test_side_swap(self, shape, pairs):
+        # the class image: a matched class maps to itself and the two
+        # unmatched classes to each other, as the pairwise swap maps blocks
+        images = {(5, 5, 5): [0], (2, 4, 4): [0, 2, 1], (0, 3, 3): [1, 0]}
         ideal = edge_ideal(_xy_graph(*shape, (1,) * shape[2]))
         lattice = ideals._Lattice(ideal)
         edges = [(c.bit_length() - 1, (c & -c).bit_length() - 1) for c in lattice.codes]
-        assert ideals._side_swap(ideals._block_classes(edges)) == pairs
-        assert bool(lattice.swap) == bool(pairs)
+        classes = ideals._block_classes(edges)
+        image = ideals._side_swap(classes)
+        assert image == lattice.swap == images.get(shape)
+        assert _pairwise_swap(classes) == pairs
+        # a block (a, b) goes to (swap a, swap b), which is the block
+        # (swap b, swap a) of the image class with states 1 and 2 exchanged
+        swap = {u: v for a, b in pairs for u, v in ((a, b), (b, a))}
+        for c, blocks in enumerate(classes if image else []):
+            assert {(swap[b], swap[a]) for a, b in blocks} == set(classes[image[c]])
 
-    @pytest.mark.parametrize("pairs", [
-        [(0, 3)],  # x1 and y1 alone: x1*y2 would go to y1*y2
-        [(0, 1)],  # x1 and x2, on one side: x1*y2 would go to x2*y2
+    @pytest.mark.parametrize("image", [
+        [0, 1, 2],  # x3, x4, y3, y4 kept: x1*y3 would go to y1*y3
+        [1, 0, 2],  # the pairs with x3, x4: x3*y3 would go to x1*y1*y3
     ])
-    def test_a_fake_side_swap_is_refused(self, monkeypatch, pairs):
-        ideal = edge_ideal(crown(3, (1, 1, 1)))
-        monkeypatch.setattr(ideals, "_side_swap", lambda classes: pairs)
+    def test_a_fake_side_swap_is_refused(self, monkeypatch, image):
+        # a crown's one class has only the image [0], so the fakes are on
+        # (2, 4, 4): the pairs x1 y1 and x2 y2, then x3 and x4, then y3 and y4
+        ideal = edge_ideal(_xy_graph(2, 4, 4, (1, 1, 1, 1)))
+        assert ideals._Lattice(ideal).swap == [0, 2, 1]
+        monkeypatch.setattr(ideals, "_side_swap", lambda classes: image)
         with pytest.raises(ValueError, match="side swap does not map the generators onto themselves"):
             ideals._Lattice(ideal)
         with pytest.raises(ValueError, match="side swap does not map the generators onto themselves"):
@@ -426,20 +460,50 @@ class TestBlockOrbits:
     @pytest.mark.parametrize("single", [False, True])
     def test_block_orbit_lists_the_distinct_permutations(self, single):
         # every count signature of k <= 5 blocks, matched pairs or unmatched
-        # vertices, with a bit outside the class set or not; the placement
+        # vertices, in a code with a bit outside the class; the placement
         # table is shared by the signatures of one class
         for k in range(1, 6):
             blocks = ideals._Blocks([(r, r if single else k + r) for r in range(k)], 2 * k + 1)
             used = (0, 3) if single else (0, 1, 2, 3)
             for states in itertools.combinations_with_replacement(used, k):
-                for extra in (0, 1 << 2 * k):
-                    def code(order):
-                        return extra | sum(blocks.spread[r][s] for r, s in enumerate(order))
+                def code(order):
+                    return sum(blocks.spread[r][s] for r, s in enumerate(order))
 
-                    orbit = blocks.orbit(code(states))
-                    expected = {code(order) for order in itertools.permutations(states)}
-                    assert sorted(orbit) == sorted(expected)
-                    assert len(orbit) == blocks.size(code(states))
+                counts = tuple(map(states.count, range(4)))
+                placed = blocks.placed(counts)
+                expected = {code(order) for order in itertools.permutations(states)}
+                assert sorted(placed) == sorted(expected)
+                assert len(placed) == blocks.size(counts)
+                assert {blocks.counts(q) for q in placed} == {counts}
+                # the canonical placement: state 3, then 2, then 1 in block order
+                assert blocks.place(counts) == code(sorted(states, reverse=True))
+
+    @pytest.mark.parametrize("shape", [shape for shape in SHAPES8 if shape != (2, 2, 2)])
+    def test_orbits_match_the_pairwise_swap(self, shape):
+        # the orbit of each canonical point under adjacent block
+        # transpositions within each class and the pairwise swap, by BFS on
+        # bits, is the lattice's orbit
+        ideal = edge_ideal(_xy_graph(*shape, (1,) * shape[2]))
+        lattice = ideals._Lattice(ideal)
+        edges = [(c.bit_length() - 1, (c & -c).bit_length() - 1) for c in lattice.codes]
+        classes = ideals._block_classes(edges)
+        moves = [
+            list(zip(blocks[r], blocks[r + 1])) for blocks in classes for r in range(len(blocks) - 1)
+        ]
+        perms = [{u: v for a, b in swaps for u, v in ((a, b), (b, a))} for swaps in moves]
+        perms.append({u: v for a, b in _pairwise_swap(classes) for u, v in ((a, b), (b, a))})
+
+        def moved(perm, point):
+            return sum(1 << perm.get(k, k) for k in range(point.bit_length()) if point >> k & 1)
+
+        points = list(lattice.closure())
+        for p, size in zip(points, lattice.sizes(points)):
+            orbit = frontier = {p}
+            while frontier:
+                frontier = {moved(perm, q) for q in frontier for perm in perms} - orbit
+                orbit |= frontier
+            assert set(lattice.expand([p])) == orbit
+            assert size == len(orbit)
 
     def test_a_fresh_lattice_has_empty_placement_tables(self):
         ideal = edge_ideal(crown(5, (1, 2, 3, 1, 2)))
