@@ -26,6 +26,7 @@ from .homology import BettiTable, FieldSpec, multigraded_betti
 from .ideals import colon_by_monomial, ideal_intersect, minimalize, scale
 from .multidegree import Multidegree, binomial, divides
 from .splitting import (
+    _NotASplit,
     _splitting_tables,
     crown_splitting,
     mapping_cone_upper_bound,
@@ -133,11 +134,14 @@ def check_crown_splitting(
     n: int, weights: Sequence[int], field: FieldSpec = FieldSpec()
 ) -> list[str]:
     """The decomposition I_n = (I_{n-1} + x_n*A) + y_n^{w_n}*B is a Betti
-    splitting, and the pdim/reg max-formulas hold on it."""
+    splitting, and the pdim/reg max-formulas hold on it.  Parts whose
+    generators do not split G(I_n) are a failure line; any other ValueError
+    of the four tables (a broken invariant, or a table past the cap) is
+    raised."""
     j_ideal, k_ideal = crown_splitting(n, weights)
     try:
         tables = _splitting_tables(edge_ideal(crown(n, weights)), j_ideal, k_ideal, field)
-    except ValueError as exc:
+    except _NotASplit as exc:
         return [f"splitting of I_{n}: {exc}"]
     witness = splitting_violation(*tables)
     if witness is not None:
@@ -191,7 +195,10 @@ def check_colon_chain(n: int, weights: Sequence[int]) -> list[str]:
 
 
 def check_binomial_identity(n_max: int = 12) -> list[str]:
-    """C(2n-4, m) decomposes over the number of complete pairs chosen."""
+    """C(2n-4, m) decomposes over the number of complete pairs chosen, for
+    every crown size n from 2 to n_max; n_max below 2 is a ValueError."""
+    if n_max < 2:
+        raise ValueError(f"the identity check needs n_max >= 2, got {n_max}")
     failures = []
     for n in range(2, n_max + 1):
         for m in range(0, 2 * n - 3):

@@ -92,14 +92,19 @@ def verify_betti_splitting(
     return witness is None, witness
 
 
+class _NotASplit(ValueError):
+    """G(I) is not the disjoint union of G(J) and G(K): the one ValueError
+    of _splitting_tables that is about the split, not about its tables."""
+
+
 def _splitting_tables(
     whole: MonomialIdeal, j_part: MonomialIdeal, k_part: MonomialIdeal, field: FieldSpec
 ) -> Optional[tuple[BettiTable, BettiTable, BettiTable, BettiTable]]:
     """The oracle tables of I, J, K and J ∩ K, or None for a split with an
-    empty part; ValueError unless G(I) is the disjoint union of G(J), G(K)."""
+    empty part; _NotASplit unless G(I) is the disjoint union of G(J), G(K)."""
     gi, gj, gk = (set(x.generators) for x in (whole, j_part, k_part))
     if gj & gk or gj | gk != gi:
-        raise ValueError("G(I) must be the disjoint union of G(J) and G(K)")
+        raise _NotASplit("G(I) must be the disjoint union of G(J) and G(K)")
     if not gj or not gk:
         return None
     meet = ideal_intersect(j_part, k_part)

@@ -142,6 +142,32 @@ class TestCrownSplittingCheck:
             "splitting of I_3: G(I) must be the disjoint union of G(J) and G(K)"
         ]
 
+    def test_broken_invariant_is_raised(self, monkeypatch):
+        # crown n = 3 read as the pairs x1 y1 and x2 y2 with x3 and y3
+        # unmatched, with a planted side swap that keeps x3 and y3: a fault
+        # of the oracle, not a failed splitting
+        from crownbetti import ideals
+
+        monkeypatch.setattr(ideals, "_block_classes", lambda edges: [[(0, 3), (1, 4)], [(2, 2)], [(5, 5)]])
+        monkeypatch.setattr(ideals, "_side_swap", lambda classes: [0, 1, 2])
+        with pytest.raises(ValueError, match="^the side swap does not map") as raised:
+            checks.check_crown_splitting(3, (1, 1, 1))
+        assert not isinstance(raised.value, ideals._PastCap)
+
+    def test_a_table_past_the_cap_is_raised(self, monkeypatch):
+        from crownbetti import ideals
+
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 10)
+        with pytest.raises(ideals._PastCap):
+            checks.check_crown_splitting(4, (1, 2, 1, 3))
+
+
+class TestBinomialIdentity:
+    @pytest.mark.parametrize("n_max", [1, 0, -5])
+    def test_an_empty_range_is_refused(self, n_max):
+        with pytest.raises(ValueError, match=f"^the identity check needs n_max >= 2, got {n_max}$"):
+            checks.check_binomial_identity(n_max)
+
 
 class TestColonChain:
     def test_passes_on_every_default_row(self):

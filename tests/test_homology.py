@@ -549,6 +549,22 @@ class TestBlockOrbits:
             multigraded_betti(ideal)
         assert len(calls) < everything <= orbits
 
+    def test_a_trivial_group_table_past_the_cap_is_refused(self, monkeypatch):
+        # no block classes: 18 lattice points, each its own orbit, carry 19
+        # entries, so a cap of 18 entries is passed although the lattice is not
+        V6 = VariableSet(NAMES6)
+        gens = [
+            (0, 1, 0, 2, 0, 2), (0, 1, 2, 2, 1, 0), (0, 2, 0, 2, 1, 0),
+            (1, 2, 2, 0, 1, 2), (2, 0, 0, 0, 0, 0),
+        ]
+        ideal = minimalize(V6, [V6.monomial(g) for g in gens])
+        assert not ideals._Lattice(ideal).classes and len(lcm_lattice(ideal)) == 18
+        assert len(multigraded_betti(ideal).entries) == 19
+        monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 18)
+        refusal = "^the table passes the cap of 18 multigraded entries$"
+        with pytest.raises(ideals._PastCap, match=refusal):
+            multigraded_betti(ideal)
+
 
 class TestAggregation:
     def test_crown2_graded_and_regularity(self):
@@ -848,6 +864,32 @@ class TestFacetRanks:
             ))
         assert (len(keys), len(cores), len(relabelled)) == (16, 11, 3)
         table = multigraded_betti(ideal)
+        assert len(reduced_sizes) == 3
+        assert table == lattice_table(ideal, FieldSpec())
+
+    def test_a_key_equal_to_a_relabelled_core_is_a_memo_hit(self, monkeypatch, reduced_sizes):
+        # over x y z u v with I = (xy, yz, u, v): at xyz the facets {x}, {z}
+        # are the key (0b001, 0b100), a core that relabels to (0b01, 0b10),
+        # the key at uv; the points are read largest first, so xyz comes
+        # before uv, and the one memo answers uv's key from xyz's core
+        V5 = VariableSet(("x", "y", "z", "u", "v"))
+        gens = [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+        ideal = minimalize(V5, [V5.monomial(g) for g in gens])
+        generators = homology._sparse_generators(ideal)
+        assert homology._facet_key(generators, (1, 1, 1, 0, 0)) == (0b001, 0b100)
+        assert homology._facet_key(generators, (0, 0, 0, 1, 1)) == (0b01, 0b10)
+        monkeypatch.setattr(
+            homology, "lcm_lattice", lambda ideal: sorted(lcm_lattice(ideal), reverse=True)
+        )
+        collapsed, strong_core = [], homology._strong_core
+
+        def recording(facets):
+            collapsed.append(tuple(facets))
+            return strong_core(facets)
+
+        monkeypatch.setattr(homology, "_strong_core", recording)
+        table = multigraded_betti(ideal)
+        assert (0b001, 0b100) in collapsed and (0b01, 0b10) not in collapsed
         assert len(reduced_sizes) == 3
         assert table == lattice_table(ideal, FieldSpec())
 
