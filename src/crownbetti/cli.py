@@ -11,6 +11,11 @@ digits after an optional '-', with no leading zero; anything else exits 2.
 Exit codes: 0 success, 2 usage or parse error, or a lattice or table past the
 library's cap (crown, family --oracle and graph alike), 3 verification mismatch,
 141 stdout closed by its reader before the report was written.
+
+crown --mode both and family --oracle compare the oracle with the closed
+form orbit by orbit (checks._orbit_comparison) and build no table on either
+side; once they agree they print the closed form's report, which is the
+oracle's byte for byte.  A mismatch prints, on stderr, its first failure.
 """
 
 from __future__ import annotations
@@ -22,13 +27,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .formulas import (
-    _formula_rows,
-    family_top_betti,
-    shape_betti_formula,
-    shape_entry_count,
-    shape_graded_formula,
-)
+from . import ideals
+from .formulas import _formula_rows, family_top_betti, shape_entry_count, shape_graded_formula
 from .graphs import (
     FAMILIES,
     WeightedOrientedGraph,
@@ -126,8 +126,11 @@ def _emit(graded: dict[tuple[int, int], int], rows, variables: VariableSet, args
 
 def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = "") -> int:
     """Print `head` and the report of the shape (m, s, t) with y-weights
-    `weights` by `mode` (formula, oracle, or both compared); the exit code.
-    A table is listed or computed only under the cap; a mismatch prints only `head`."""
+    `weights` by `mode`: formula, oracle, or both, which compares the two
+    orbit by orbit and then prints the formula's report, the oracle's in
+    every byte once they agree; the exit code.  A table is listed or
+    computed only under the cap; a mismatch prints only `head` and, on
+    stderr, its first failure."""
     field = _parse_field(args.field)
     if mode != "formula" or args.output == "json" or args.multigraded:
         count = shape_entry_count(*shape, weights)
@@ -143,31 +146,34 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
                     "graded numbers instead" if args.command == "crown" else ""
                 )
             )
-    if mode == "formula":
-        # the graded numbers are counted and the rows listed: no table is built
-        print(head, end="")
-        rows = _formula_rows(*shape, weights)
-        _emit(shape_graded_formula(*shape, weights), rows, _xy_variables(*shape[1:]), args)
-        return EXIT_OK
-    formula = (lambda: shape_betti_formula(*shape, weights)) if mode == "both" else None
-    return _oracle_report(edge_ideal(_xy_graph(*shape, weights)), field, args, head, formula)
+    if mode == "oracle":
+        return _oracle_report(edge_ideal(_xy_graph(*shape, weights)), field, args, head)
+    if mode == "both":
+        from . import checks  # as in cmd_verify
 
-
-def _oracle_report(ideal, field: FieldSpec, args, head: str = "", formula=None) -> int:
-    """Print `head` and the report of the oracle table of `ideal` over `field`, or only
-    `head` and, on stderr, the first entry where the table `formula()` differs; the exit
-    code.  Past the library's cap it is a usage error, raised before `formula` runs."""
-    try:
-        table = multigraded_betti(ideal, field)
-    except _PastCap as exc:
-        raise UsageError(str(exc))
-    closed = formula() if formula else None
+        # both builds no table, but keeps the library's cap on the oracle's:
+        # once the two agree, the oracle's table has `count` entries
+        if count > ideals.MAX_LISTED_ENTRIES:
+            raise _PastCap(
+                f"the table passes the cap of {ideals.MAX_LISTED_ENTRIES} multigraded entries"
+            )
+        failures = checks._orbit_comparison(shape, weights, field)[0]
+        if failures:
+            print(head, end="")
+            print(f"mismatch at {failures[0]}", file=sys.stderr)
+            return EXIT_MISMATCH
+    # the graded numbers are counted and the rows listed: no table is built
     print(head, end="")
-    if closed is not None and table != closed:
-        i, a = table.differences(closed)[0]
-        found, expected = table.entry(i, a), closed.entry(i, a)
-        print(f"mismatch at beta_({i}, {a}): oracle={found} formula={expected}", file=sys.stderr)
-        return EXIT_MISMATCH
+    rows = _formula_rows(*shape, weights)
+    _emit(shape_graded_formula(*shape, weights), rows, _xy_variables(*shape[1:]), args)
+    return EXIT_OK
+
+
+def _oracle_report(ideal, field: FieldSpec, args, head: str = "") -> int:
+    """Print `head` and the report of the oracle table of `ideal` over `field`;
+    the exit code."""
+    table = multigraded_betti(ideal, field)
+    print(head, end="")
     _emit(table.graded(), _rows(table), table.variables, args)
     return EXIT_OK
 
@@ -272,7 +278,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import checks  # only verify runs the checks: other commands never compile them
+    from . import checks  # only verify and the comparing modes compile the checks
 
     field = _parse_field(args.field)
     bounds = _parse_ints(args.n, "bad range {!r}; expected N or LO..HI", "..", maxsplit=1)
@@ -350,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--params", required=True, help="comma-separated family parameters")
     p_family.add_argument("--weights", help="comma-separated y-weights (default all 1)")
     p_family.add_argument("--oracle", action="store_true",
-                          help="also compute the oracle table and check it against the formula")
+                          help="also compare the oracle with the formula, orbit by orbit, "
+                               "and print the report of the shape")
     add_table_options(p_family)
     p_family.set_defaults(func=cmd_family, output="text")  # no --output: a text report
 
@@ -376,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code
-    except UsageError as exc:
+    except (UsageError, _PastCap) as exc:  # bad input, or a lattice or table past the cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

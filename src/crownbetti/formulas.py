@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import _check_shape, _family_shape
 from .homology import BettiTable
@@ -154,10 +154,26 @@ def _entry_states(
                 grown[key] = grown.get(key, 0) + count
         states = grown
     for (pairs, size, degree, sides), count in states.items():
-        if pairs == 1 or sides != 3:  # one pair, or an edgeless selection
-            continue
-        i, value = _top_entry(pairs, size)
-        yield i, degree, value, count
+        entry = _selection_entry(pairs, size, sides)
+        if entry:
+            yield entry[0], degree, entry[1], count
+
+
+def _point_entry(
+    m: int, s: int, t: int, weights: Sequence[int], exps: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """(i, value) of the entry the closed form of the shape (m, s, t) puts
+    at the point with exponents `exps` over x1..xs, y1..yt, or None where it
+    puts none.  A point of the lcm lattice is theta(G[W]) of a vertex
+    selection W, each xr exponent 0 or 1 and each yr exponent 0 or w_r, and
+    W carries the entry _selection_entry gives it, the rule of _selections
+    and _entry_states; a point not of that form carries none."""
+    xs, ys = exps[:s], exps[s:]
+    if any(e not in (0, 1) for e in xs) or any(e not in (0, w) for e, w in zip(ys, weights)):
+        return None
+    pairs = sum(1 for r in range(m) if xs[r] and ys[r])
+    sides = any(xs) | any(ys) << 1
+    return _selection_entry(pairs, sum(map(bool, exps)), sides)
 
 
 def shape_graded_formula(
@@ -214,6 +230,17 @@ def _top_entry(pairs: int, size: int) -> tuple[int, int]:
     for pairs >= 1, so value 0 for one pair, and (size - 2, 1) for a
     complete bipartite graph."""
     return (size - 3, pairs - 1) if pairs else (size - 2, 1)
+
+
+def _selection_entry(pairs: int, size: int, sides: int) -> Optional[tuple[int, int]]:
+    """(index, value) of the entry a vertex selection W carries at
+    theta(G[W]), from its number of missing pairs, its number of vertices
+    and its sides (bit 1 for an x, bit 2 for a y), or None: a selection
+    with exactly one missing pair carries none, and neither does one on
+    one side only, which holds no edge."""
+    if pairs == 1 or sides != 3:
+        return None
+    return _top_entry(pairs, size)
 
 
 def family_top_betti(

@@ -39,13 +39,14 @@ per orbit of its pattern's symmetry: the block permutations, joined by
 the side swap x_r <-> y_r when the two sides match.  A permutation that
 maps the generators onto themselves maps beta_{i,a} to beta_{i,sigma a},
 since the lcm lattice determines the Betti numbers
-(Gasharov-Peeva-Welker).  So multigraded_betti runs one loop over the
-orbits, each given as its point, the point's exponents and the orbit's
-size: it takes the key and ranks at the point and adds the entries the
-orbit holds to a running count.  Then each orbit with homology is
-expanded into its entries.  An ideal with no block classes has the
-trivial group, each orbit one point; the loop then reads the points of
-lcm_lattice.
+(Gasharov-Peeva-Welker).  So one loop, _orbits, walks the orbits, each
+given as its point, the point's exponents and the orbit's size, and
+takes the key and ranks at the point.  multigraded_betti adds the
+entries each orbit holds to a running count, under the cap, and then
+expands each orbit with homology into its entries; the formula-vs-oracle
+comparison in checks reads the same orbits and expands none.  An ideal
+with no block classes has the trivial group, each orbit one point; the
+loop then reads the points of lcm_lattice.
 
 Homology comes from a reduction of the boundary matrices from the top
 dimension down with clearing (Chen-Kerber's twist): a face that is a
@@ -65,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import ideals
 from .ideals import MonomialIdeal, _Lattice, lcm_lattice
@@ -512,45 +513,49 @@ class BettiTable:
         )
 
 
-def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> BettiTable:
-    """Complete multigraded Betti table of a nonzero, non-unit monomial ideal,
-    evaluated at one point per orbit of its lcm lattice under its pattern's
-    block permutations and side swap (see the module docstring).
-
-    One loop reads every orbit as (point, exponents, size), from
-    _Lattice.closure or, for the trivial group, from lcm_lattice, and at
-    each takes the facet key, one lookup in the call's one memo and the
-    running count of entries; the orbits with homology are then expanded
-    into their entries.  A lattice or a table past MAX_LISTED_ENTRIES
-    points or entries is a ValueError, raised once the closure or the
-    running count passes the cap, before any orbit is expanded."""
-    if ideal.is_zero() or ideal.is_unit():
-        raise ValueError("Betti numbers computed only for nonzero, non-unit ideals")
+def _orbits(
+    ideal: MonomialIdeal, lattice: _Lattice, field: FieldSpec
+) -> Iterator[tuple[Hashable, tuple[int, ...], int, dict[int, int]]]:
+    """(point, exponents, size, ranks) for every orbit of the lcm lattice
+    of ``ideal``, which ``lattice`` is built from: the orbit's canonical
+    point, its exponents, the number of points in the orbit and the reduced
+    homology ranks, by dimension, at each of them (empty when there is
+    none).  The orbits come from lattice.closure or, for the trivial group,
+    from the points of lcm_lattice, each then its own orbit; every facet
+    key is looked up in one memo for the whole walk.  No cap is applied
+    beyond the lattice's own."""
     generators = _sparse_generators(ideal)
     memo: dict[tuple[int, ...], dict[int, int]] = {}
-    lattice = _Lattice(ideal)
-    variables, exponents = ideal.variables, lattice.exponents
     if lattice.classes:
         codes = list(lattice.closure())
-        points = zip(codes, map(exponents, codes), lattice.sizes(codes))
-
-        def orbit(code: int) -> list[Multidegree]:
-            return [_trusted(variables, exponents(q)) for q in lattice.expand([code])]
-
+        points = zip(codes, map(lattice.exponents, codes), lattice.sizes(codes))
     else:
         # each point is its own orbit; they are read through lcm_lattice,
         # the span perfbench traces as the lattice layer
         points = ((a, a.exponents, 1) for a in lcm_lattice(ideal))
-
-        def orbit(a: Multidegree) -> tuple[Multidegree]:
-            return (a,)
-
-    found, count = [], 0
     for point, exps, size in points:
         key = _facet_key(generators, exps)
         ranks = memo.get(key)
         if ranks is None:
             ranks = memo[key] = _facet_ranks(key, field, memo)
+        yield point, exps, size, ranks
+
+
+def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> BettiTable:
+    """Complete multigraded Betti table of a nonzero, non-unit monomial ideal,
+    evaluated at one point per orbit of its lcm lattice under its pattern's
+    block permutations and side swap (see the module docstring).
+
+    The orbits with homology come from _orbits, whose entries are added to
+    a running count; they are then expanded into their entries.  A lattice
+    or a table past MAX_LISTED_ENTRIES points or entries is a ValueError,
+    raised once the closure or the running count passes the cap, before
+    any orbit is expanded."""
+    if ideal.is_zero() or ideal.is_unit():
+        raise ValueError("Betti numbers computed only for nonzero, non-unit ideals")
+    lattice = _Lattice(ideal)
+    found, count = [], 0
+    for point, _, size, ranks in _orbits(ideal, lattice, field):
         if ranks:
             count += size * len(ranks)
             if count > ideals.MAX_LISTED_ENTRIES:
@@ -559,6 +564,17 @@ def multigraded_betti(ideal: MonomialIdeal, field: FieldSpec = FieldSpec()) -> B
                     "multigraded entries"
                 )
             found.append((point, ranks))
+    variables, exponents = ideal.variables, lattice.exponents
+    if lattice.classes:
+
+        def orbit(code: int) -> list[Multidegree]:
+            return [_trusted(variables, exponents(q)) for q in lattice.expand([code])]
+
+    else:
+
+        def orbit(a: Multidegree) -> tuple[Multidegree]:
+            return (a,)
+
     # expanded once every orbit is counted: expanding inside the loop above
     # measured 3-6% slower in-process on the benchmark's oracle workloads
     entries = {

@@ -106,17 +106,110 @@ class TestFormulaVsOracle:
     def test_sees_a_dropped_top_index_in_the_totals(self, monkeypatch):
         # the oracle loses its top index 2n - 3 = 5: its own total sequence
         # stops at 4, so the totals are compared up to the closed form's 5
-        def dropped(ideal, field=FieldSpec()):
-            table = multigraded_betti(ideal, field)
-            top = table.pdim()
-            entries = {(i, a): c for (i, a), c in table.entries.items() if i != top}
-            return BettiTable(table.variables, entries)
+        orbits = checks._orbits
 
-        monkeypatch.setattr(checks, "multigraded_betti", dropped)
+        def dropped(ideal, lattice, field):
+            for point, exps, size, ranks in orbits(ideal, lattice, field):
+                yield point, exps, size, {d: r for d, r in ranks.items() if d + 1 != 5}
+
+        monkeypatch.setattr(checks, "_orbits", dropped)
         assert checks.check_formula_vs_oracle(4, (1, 1, 1, 1)) == [
             "beta_(5, x1*x2*x3*x4*y1*y2*y3*y4) oracle=0 formula=3",
+            "entry count oracle=116 formula=117",
             "totals oracle=[12, 30, 38, 32, 16, 0] closed form=[12, 30, 38, 32, 16, 3]",
             "alternating sum 1 - b0 + b1 - ... = -3, expected 0",
+        ]
+
+    def test_builds_no_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(BettiTable, "__init__", refuse)
+        for w in checks.default_weight_matrix(5):
+            assert checks.check_formula_vs_oracle(5, w) == []
+
+
+class TestOrbitComparison:
+    # each planted fault makes the orbit-by-orbit comparison fail
+
+    SHAPE, WEIGHTS = (4, 4, 4), (1, 2, 1, 3)
+
+    def compare(self):
+        return checks._orbit_comparison(self.SHAPE, self.WEIGHTS, FieldSpec())[0]
+
+    def test_passes_on_the_shapes_of_the_families(self):
+        for shape, weights in [
+            ((4, 4, 4), (1, 2, 1, 3)), ((3, 4, 3), (2, 1, 1)),
+            ((2, 4, 3), (1, 10**9, 1)), ((0, 2, 3), (1, 2, 3)),
+        ]:
+            assert checks._orbit_comparison(shape, weights, FieldSpec())[0] == []
+
+    def test_sees_a_swapped_orbit_counted_once(self, monkeypatch):
+        # sizes that forget the side swap: each point agrees, and the table
+        # itself, expanded by the group, is still right; only the entry
+        # count sees it
+        from crownbetti import ideals
+        from crownbetti.formulas import shape_betti_formula
+
+        sizes = ideals._Lattice.sizes
+
+        def undoubled(lattice, points):
+            swap, lattice.swap = lattice.swap, None
+            try:
+                return sizes(lattice, points)
+            finally:
+                lattice.swap = swap
+
+        monkeypatch.setattr(ideals._Lattice, "sizes", undoubled)
+        failures = self.compare()
+        assert len(failures) == 1
+        assert failures[0].startswith("entry count oracle=")
+        assert failures[0].endswith(" formula=117")
+        ideal = edge_ideal(crown(4, self.WEIGHTS))
+        assert multigraded_betti(ideal) == shape_betti_formula(*self.SHAPE, self.WEIGHTS)
+
+    def test_sees_one_more_h1(self, monkeypatch):
+        from crownbetti import homology
+
+        ranks = homology._ranks
+
+        def more(masks, field):
+            found = ranks(masks, field)
+            return {**found, 1: found.get(1, 0) + 1}
+
+        monkeypatch.setattr(homology, "_ranks", more)
+        # the fault reaches the oracle's ranks at any index: a core may be
+        # reduced through its Alexander dual
+        failures = self.compare()
+        assert failures and failures[0].startswith("beta_(")
+
+    def test_sees_a_top_entry_one_too_large(self, monkeypatch):
+        from crownbetti import formulas
+
+        top = formulas._top_entry
+
+        def larger(pairs, size):
+            i, value = top(pairs, size)
+            return i, value + (pairs >= 2)
+
+        monkeypatch.setattr(formulas, "_top_entry", larger)
+        # every entry stays where it was: the points see it, the count cannot
+        failures = self.compare()
+        assert failures and all(line.startswith("beta_(") for line in failures)
+        assert failures[0] == "beta_(5, x1*x2*x3*x4*y1*y2^2*y3*y4^3) oracle=3 formula=4"
+
+    def test_sees_an_entry_for_one_missing_pair(self, monkeypatch):
+        from crownbetti import formulas
+
+        def admitting(pairs, size, sides):
+            return formulas._top_entry(pairs, size) if sides == 3 else None
+
+        monkeypatch.setattr(formulas, "_selection_entry", admitting)
+        # the two orbits of selections with one missing pair and no isolated
+        # vertex, each at its canonical point: a zero entry is an entry
+        assert self.compare() == [
+            "beta_(1, x1*x3*y1*y2^2) oracle=0 formula=0",
+            "beta_(2, x1*x3*x4*y1*y2^2) oracle=0 formula=0",
         ]
 
 
@@ -141,6 +234,16 @@ class TestCrownSplittingCheck:
         assert checks.check_crown_splitting(3, (1, 1, 1)) == [
             "splitting of I_3: G(I) must be the disjoint union of G(J) and G(K)"
         ]
+
+    def test_a_split_with_an_empty_part_passes(self, monkeypatch):
+        # J holds every generator and K none: a Betti splitting trivially
+        def whole(n, weights):
+            j_part, k_part = crown_splitting(n, weights)
+            everything = minimalize(j_part.variables, j_part.generators + k_part.generators)
+            return everything, minimalize(k_part.variables, ())
+
+        monkeypatch.setattr(checks, "crown_splitting", whole)
+        assert checks.check_crown_splitting(3, (1, 1, 1)) == []
 
     def test_broken_invariant_is_raised(self, monkeypatch):
         # crown n = 3 read as the pairs x1 y1 and x2 y2 with x3 and y3

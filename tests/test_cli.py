@@ -23,13 +23,22 @@ from crownbetti import (
     multigraded_betti,
     multigraded_betti_formula,
     report_text,
-    shape_betti_formula,
     table_from_json_dict,
     table_to_json_dict,
     total_betti_closed_form,
     xy_variables,
 )
 from crownbetti.cli import EXIT_CLOSED_PIPE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+
+
+def _one_more(point_entry):
+    """The closed form at one point with each value one too large."""
+
+    def broken(*args):
+        entry = point_entry(*args)
+        return entry and (entry[0], entry[1] + 1)
+
+    return broken
 
 
 def run(capsys, *argv):
@@ -121,7 +130,7 @@ class TestCrownCommand:
         for module, name in [
             (formulas_module, "enumerate_N"),
             (formulas_module, "enumerate_M"),
-            (cli_module, "shape_betti_formula"),
+            (formulas_module, "shape_betti_formula"),
         ]:
             monkeypatch.setattr(module, name, refuse)
         for extra in ((), ("--raw",)):
@@ -157,7 +166,7 @@ class TestCrownCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the listing built or summed a table")
 
-        monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
+        monkeypatch.setattr(formulas_module, "shape_betti_formula", refuse)
         monkeypatch.setattr(formulas_module, "BettiTable", refuse)
         monkeypatch.setattr(BettiTable, "graded", refuse)
         # the rows are written from their exponent tuples: no monomial is built
@@ -239,7 +248,7 @@ class TestCrownCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the table was listed or computed")
 
-        monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
+        monkeypatch.setattr(checks, "_orbit_comparison", refuse)
         monkeypatch.setattr(cli_module, "_formula_rows", refuse)
         monkeypatch.setattr(cli_module, "multigraded_betti", refuse)
         code, out, err = run(capsys, "crown", "--n", "11", *extra)
@@ -284,16 +293,7 @@ class TestCrownCommand:
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # perturb the formula route so the oracle comparison must fail
-        import crownbetti.cli as cli_module
-
-        def broken(m, s, t, weights):
-            table = shape_betti_formula(m, s, t, weights)
-            entries = dict(table.entries)
-            key, value = min(entries.items())
-            entries[key] = value + 1
-            return BettiTable(table.variables, entries)
-
-        monkeypatch.setattr(cli_module, "shape_betti_formula", broken)
+        monkeypatch.setattr(checks, "_point_entry", _one_more(checks._point_entry))
         code, out, err = run(capsys, "crown", "--n", "2", "--mode", "both")
         assert code == EXIT_MISMATCH and out == ""
         assert "mismatch at beta_(" in err
@@ -580,18 +580,9 @@ class TestFamilyCommand:
         assert "table check: pass" in out
 
     def test_table_mismatch_exit_code(self, capsys, monkeypatch):
-        # perturb the shape formula so the whole-table comparison must fail
-        import crownbetti.cli as cli_module
-
-        def broken(m, s, t, weights):
-            table = shape_betti_formula(m, s, t, weights)
-            entries = dict(table.entries)
-            key, value = max(entries.items())
-            entries[key] = value + 1
-            return BettiTable(table.variables, entries)
-
+        # perturb the shape formula so the orbit comparison must fail
         top = run(capsys, "family", "unbalanced", "--params", "4,3")[1]
-        monkeypatch.setattr(cli_module, "shape_betti_formula", broken)
+        monkeypatch.setattr(checks, "_point_entry", _one_more(checks._point_entry))
         code, out, err = run(capsys, "family", "unbalanced", "--params", "4,3", "--oracle")
         assert code == EXIT_MISMATCH
         # as with crown --mode both, a mismatch prints no table
@@ -627,7 +618,7 @@ class TestFamilyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the table was listed or computed")
 
-        monkeypatch.setattr(cli_module, "shape_betti_formula", refuse)
+        monkeypatch.setattr(checks, "_orbit_comparison", refuse)
         monkeypatch.setattr(cli_module, "multigraded_betti", refuse)
         code, out, err = run(capsys, "family", kind, "--params", params, "--oracle")
         assert code == EXIT_USAGE and out == ""
@@ -713,16 +704,18 @@ class TestFieldOption:
 
     @pytest.fixture
     def oracle_fields(self, monkeypatch):
-        """The field of every oracle table the command computes."""
-        import crownbetti.cli as cli_module
+        """The field of every walk over the oracle's orbits the command makes,
+        for a table or for the comparison with the closed form."""
+        from crownbetti import homology
 
-        fields = []
+        fields, orbits = [], homology._orbits
 
-        def recording(ideal, field):
+        def recording(ideal, lattice, field):
             fields.append(field)
-            return multigraded_betti(ideal, field)
+            return orbits(ideal, lattice, field)
 
-        monkeypatch.setattr(cli_module, "multigraded_betti", recording)
+        for module in (homology, checks):
+            monkeypatch.setattr(module, "_orbits", recording)
         return fields
 
     @pytest.mark.parametrize(
@@ -994,11 +987,11 @@ def test_integers_are_plain_digits(capsys, monkeypatch, tmp_path, option, text):
     def refuse(*args, **kwargs):
         raise AssertionError("a table was computed from a misread integer")
 
-    for name in ("multigraded_betti", "shape_graded_formula", "shape_betti_formula"):
+    for name in ("multigraded_betti", "shape_graded_formula"):
         monkeypatch.setattr(cli_module, name, refuse)
     for name in (
-        "check_formula_vs_oracle", "check_crown_splitting", "check_colon_chain",
-        "check_induced_subgraphs", "check_binomial_identity",
+        "_orbit_comparison", "check_formula_vs_oracle", "check_crown_splitting",
+        "check_colon_chain", "check_induced_subgraphs", "check_binomial_identity",
     ):
         monkeypatch.setattr(checks, name, refuse)
     doc = tmp_path / "graph.json"
@@ -1038,7 +1031,8 @@ def test_multigraded_lines_follow_the_table_order(source):
 
 
 class TestTextReportsReadNoRows:
-    """A table's rows are sorted when a listing reads them, never for a text report."""
+    """A report's rows, a table's or the closed form's, are sorted or listed
+    when a listing reads them, never for a text report."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -1046,19 +1040,24 @@ class TestTextReportsReadNoRows:
         import crownbetti.cli as cli_module
         import crownbetti.render as render_module
 
-        real, events = render_module._rows, []
+        events = []
 
-        def spy(table):
-            events.append("call")
+        def spying(real):
+            def spy(*args):
+                events.append("call")
 
-            def rows():
-                events.append("read")
-                yield from real(table)
+                def rows():
+                    events.append("read")
+                    yield from real(*args)
 
-            return rows()
+                return rows()
 
-        monkeypatch.setattr(cli_module, "_rows", spy)
-        monkeypatch.setattr(render_module, "_rows", spy)
+            return spy
+
+        table_rows = spying(render_module._rows)
+        monkeypatch.setattr(cli_module, "_rows", table_rows)
+        monkeypatch.setattr(render_module, "_rows", table_rows)
+        monkeypatch.setattr(cli_module, "_formula_rows", spying(cli_module._formula_rows))
         return events
 
     @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from crownbetti import (
     generalized_crown,
     graded_betti_formula,
     induced_subgraph,
+    lcm_lattice,
     mapping_cone_upper_bound,
     multigraded_betti,
     multigraded_betti_formula,
@@ -29,7 +30,7 @@ from crownbetti import (
     unbalanced_crown,
     xy_variables,
 )
-from crownbetti.formulas import _entry_states, _formula_rows
+from crownbetti.formulas import _entry_states, _formula_rows, _point_entry
 from crownbetti.graphs import _xy_graph
 from crownbetti.render import _rows
 
@@ -525,3 +526,15 @@ def test_shape_formula_matches_oracle(m, s, t):
             assert induced_subgraph(graph, a.support()).non_isolated() == a.support()
         totals.add(tuple(table.total_sequence()))
     assert len(totals) == 1  # weight independence
+
+
+@pytest.mark.parametrize("m,s,t", SHAPES)
+def test_point_entry_is_the_listing_at_every_lattice_point(m, s, t):
+    # the closed form read at one point is the row the listing puts there,
+    # and every row lies on the lcm lattice
+    for w in [(1,) * t, tuple(range(1, t + 1)), tuple(range(t, 0, -1)), (10**9,) + (1,) * (t - 1)]:
+        rows = {e: (i, c) for i, e, c in _formula_rows(m, s, t, w)}
+        points = {a.exponents for a in lcm_lattice(edge_ideal(_xy_graph(m, s, t, w)))}
+        for exps in points:
+            assert _point_entry(m, s, t, w, exps) == rows.get(exps), (w, exps)
+        assert rows.keys() <= points
