@@ -7,12 +7,15 @@ tests are both built on these.
 The oracle is compared with the closed form orbit by orbit, with no
 table built on either side (_orbit_comparison, which crown --mode both
 and family --oracle share): both are constant on the orbits of the lcm
-lattice under the shape's symmetry.  Other tables are compared whole, by
-``BettiTable.differences``: I against J + K + shifted J ∩ K, and each
-induced subgraph G[W] against the full table restricted to the entries
-supported in W.  That restriction and the support implication (an
-entry with supp(a) = W sits at i = pdim I(G[W])) share one walk over the
-vertex subsets W, check_induced_subgraphs, which computes each table of
+lattice under the shape's symmetry.  I is compared with J + K + shifted
+J ∩ K whole, by ``BettiTable.differences``.  Each induced subgraph G[W]
+is compared with the full table's entries supported in W, and only a W
+that fails builds that restriction as a table to list its differences.
+That restriction and the support implication (an entry with supp(a) = W
+sits at i = pdim I(G[W])) share one walk over the vertex subsets W,
+check_induced_subgraphs, which works on support bitmasks: I(G[W]) is the
+crown's generators inside W, and the full entries inside W are read off
+one index by support, over the submasks of W.  It computes each table of
 I(G[W]) once and returns both failure lists; ``verify`` prints them as
 two checks.  The colon chain behind the mapping-cone bound is checked by
 ideal arithmetic alone.
@@ -30,9 +33,9 @@ from .formulas import (
     shape_graded_formula,
     total_betti_closed_form,
 )
-from .graphs import _family_shape, _xy_graph, crown, edge_ideal, induced_subgraph
+from .graphs import _family_shape, _xy_graph, crown, edge_ideal
 from .homology import BettiTable, FieldSpec, _graded_summary, _orbits, multigraded_betti
-from .ideals import _Lattice, colon_by_monomial, ideal_intersect, minimalize, scale
+from .ideals import MonomialIdeal, _Lattice, colon_by_monomial, ideal_intersect, minimalize, scale
 from .multidegree import Multidegree, binomial, divides
 from .splitting import (
     _NotASplit,
@@ -68,7 +71,7 @@ def _orbit_comparison(
         if found != expected:
             a = Multidegree(ideal.variables, exps)
             failures += [
-                f"beta_({i}, {a}) oracle={found.get(i, 0)} formula={expected.get(i, 0)}"
+                f"beta_({i}, {a}) oracle={found.get(i, '-')} formula={expected.get(i, '-')}"
                 for i in sorted(found.keys() | expected.keys())
                 if found.get(i) != expected.get(i)
             ]
@@ -125,31 +128,37 @@ def check_induced_subgraphs(
     homological index.  Support implication: every entry of the full table
     with supp(a) = W has i equal to the pdim of that recomputed table of
     I(G[W]); read off the full table alone, the pdim would miss an entry
-    moved one index up."""
-    graph = crown(n, weights)
-    full = multigraded_betti(edge_ideal(graph), field)
-    empty = BettiTable(full.variables, {})
-    vertices = graph.vertices.names
-    # each entry's support as a bitmask over the vertex order, read once
-    supports = [
-        (sum(1 << k for k, e in enumerate(a.exponents) if e), (i, a), c)
-        for (i, a), c in full.entries.items()
-    ]
-    by_support: dict[int, list[tuple[int, Multidegree]]] = {}
-    for s, key, _ in supports:
-        by_support.setdefault(s, []).append(key)
+    moved one index up.  Supports are bitmasks over the vertex order: I(G[W])
+    is generated by the crown's generators whose support lies in W, and the
+    full entries inside W are those filed under the submasks of W."""
+    ideal = edge_ideal(crown(n, weights))
+    full = multigraded_betti(ideal, field)
+    variables = ideal.variables
+
+    def mask(a: Multidegree) -> int:
+        return sum(1 << k for k, e in enumerate(a.exponents) if e)
+
+    generators = [(mask(g), g) for g in ideal.generators]
+    by_support: dict[int, dict[tuple[int, Multidegree], int]] = {}
+    for (i, a), c in full.entries.items():
+        by_support.setdefault(mask(a), {})[i, a] = c
+    empty = BettiTable(variables, {})
     restriction, support = [], []
-    for size in range(len(vertices) + 1):
-        for subset in combinations(range(len(vertices)), size):
-            window, names = sum(1 << k for k in subset), [vertices[k] for k in subset]
-            restricted = {key: c for s, key, c in supports if s | window == window}
-            sub_ideal = edge_ideal(induced_subgraph(graph, names))
-            sub = multigraded_betti(sub_ideal, field) if not sub_ideal.is_zero() else empty
-            restriction.extend(
-                f"W={sorted(names)} beta_({i}, {a}): "
-                f"subgraph={sub.entry(i, a)} full={full.entry(i, a)}"
-                for i, a in sub.differences(BettiTable(full.variables, restricted))
-            )
+    for size in range(len(variables.names) + 1):
+        for subset in combinations(range(len(variables.names)), size):
+            window = sum(1 << k for k in subset)
+            inside = tuple(g for s, g in generators if s | window == window)
+            sub = multigraded_betti(MonomialIdeal(variables, inside), field) if inside else empty
+            restricted, part = dict(by_support.get(0, {})), window
+            while part:  # after the empty support, every nonzero submask of W
+                restricted.update(by_support.get(part, ()))
+                part = (part - 1) & window
+            if sub.entries != restricted:
+                restriction.extend(
+                    f"W={sorted(variables.names[k] for k in subset)} beta_({i}, {a}): "
+                    f"subgraph={sub.entry(i, a)} full={full.entry(i, a)}"
+                    for i, a in sub.differences(BettiTable(variables, restricted))
+                )
             if window in by_support:
                 p = sub.pdim() if sub.entries else None
                 support.extend((i, a, p) for i, a in by_support[window] if p != i)

@@ -38,7 +38,7 @@ from .graphs import (
     edge_ideal,
 )
 from .homology import DEFAULT_PRIME, FieldSpec, multigraded_betti
-from .ideals import MAX_LISTED_ENTRIES, _PastCap
+from .ideals import _PastCap
 from .multidegree import VariableSet, _xy_variables
 from .render import _report, _rows
 
@@ -129,34 +129,29 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
     `weights` by `mode`: formula, oracle, or both, which compares the two
     orbit by orbit and then prints the formula's report, the oracle's in
     every byte once they agree; the exit code.  A table is listed or
-    computed only under the cap; a mismatch prints only `head` and, on
-    stderr, its first failure."""
+    computed only under the library's cap, ideals.MAX_LISTED_ENTRIES as it
+    reads at the call; a mismatch prints only `head` and, on stderr, its
+    first failure."""
     field = _parse_field(args.field)
     if mode != "formula" or args.output == "json" or args.multigraded:
         count = shape_entry_count(*shape, weights)
-        if count > MAX_LISTED_ENTRIES:
+        if count > ideals.MAX_LISTED_ENTRIES:
             # str(int) writes at most 4300 digits: past about 14,000 vertices,
             # the count is shown by the power of 2 below it
             shown = count if count.bit_length() <= 10**4 else f"at least 2^{count.bit_length() - 1}"
             # only crown takes --mode and --output
             raise UsageError(
                 f"the formula table has {shown} multigraded entries, above the cap of "
-                f"{MAX_LISTED_ENTRIES}" + (
+                f"{ideals.MAX_LISTED_ENTRIES}" + (
                     "; --mode formula without --output json or --multigraded counts the "
                     "graded numbers instead" if args.command == "crown" else ""
                 )
             )
     if mode == "oracle":
-        return _oracle_report(edge_ideal(_xy_graph(*shape, weights)), field, args, head)
+        return _oracle_report(edge_ideal(_xy_graph(*shape, weights)), field, args)
     if mode == "both":
         from . import checks  # as in cmd_verify
 
-        # both builds no table, but keeps the library's cap on the oracle's:
-        # once the two agree, the oracle's table has `count` entries
-        if count > ideals.MAX_LISTED_ENTRIES:
-            raise _PastCap(
-                f"the table passes the cap of {ideals.MAX_LISTED_ENTRIES} multigraded entries"
-            )
         failures = checks._orbit_comparison(shape, weights, field)[0]
         if failures:
             print(head, end="")
@@ -169,11 +164,9 @@ def _shape_report(shape, weights: tuple[int, ...], args, mode: str, head: str = 
     return EXIT_OK
 
 
-def _oracle_report(ideal, field: FieldSpec, args, head: str = "") -> int:
-    """Print `head` and the report of the oracle table of `ideal` over `field`;
-    the exit code."""
+def _oracle_report(ideal, field: FieldSpec, args) -> int:
+    """Print the report of the oracle table of `ideal` over `field`; the exit code."""
     table = multigraded_betti(ideal, field)
-    print(head, end="")
     _emit(table.graded(), _rows(table), table.variables, args)
     return EXIT_OK
 
@@ -303,7 +296,7 @@ def cmd_verify(args) -> int:
     outcomes: list[bool] = []
 
     def report(name: str, failures: list[str]) -> None:
-        # flushed at once: a sweep up to n = 7 runs for about a minute
+        # flushed at once: a sweep that reaches n = 7 runs for 40 s or more
         print(f"FAIL {name}: {failures[0]}" if failures else f"PASS {name}", flush=True)
         outcomes.append(bool(failures))
 

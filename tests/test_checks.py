@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from crownbetti import (
@@ -8,6 +10,7 @@ from crownbetti import (
     crown_splitting,
     edge_ideal,
     ideal_intersect,
+    induced_subgraph,
     mapping_cone_upper_bound,
     minimalize,
     multigraded_betti,
@@ -37,6 +40,43 @@ class TestRestriction:
         assert len(failures) == 1
         assert failures[0].startswith("W=['x1', 'y2'] beta_(5, ")
         assert failures[0].endswith("subgraph=1 full=0")
+
+
+class TestInducedSubgraphWalk:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_subgraph_ideal_is_the_edge_ideal_of_g_w(self, monkeypatch, n):
+        # the generators whose support lies in W generate I(G[W]): the walk
+        # hands the oracle the full ideal, then, in its order over W, the
+        # edge ideal of every induced subgraph that has an edge
+        weights = tuple(range(1, n + 1))
+        graph = crown(n, weights)
+        calls = []
+
+        def recording(ideal, field=FieldSpec()):
+            calls.append(ideal)
+            return multigraded_betti(ideal, field)
+
+        monkeypatch.setattr(checks, "multigraded_betti", recording)
+        assert checks.check_induced_subgraphs(n, weights) == ([], [])
+        names = graph.vertices.names
+        subgraphs = (
+            edge_ideal(induced_subgraph(graph, window))
+            for size in range(len(names) + 1)
+            for window in combinations(names, size)
+        )
+        assert calls == [edge_ideal(graph)] + [sub for sub in subgraphs if not sub.is_zero()]
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1), (2, 1, 3)])
+    def test_builds_one_edge_ideal(self, monkeypatch, weights):
+        built = []
+
+        def counting(graph):
+            built.append(graph)
+            return edge_ideal(graph)
+
+        monkeypatch.setattr(checks, "edge_ideal", counting)
+        assert checks.check_induced_subgraphs(3, weights) == ([], [])
+        assert built == [crown(3, weights)]
 
 
 # the support-implication failures, read alone and as the walk's second list
@@ -114,7 +154,7 @@ class TestFormulaVsOracle:
 
         monkeypatch.setattr(checks, "_orbits", dropped)
         assert checks.check_formula_vs_oracle(4, (1, 1, 1, 1)) == [
-            "beta_(5, x1*x2*x3*x4*y1*y2*y3*y4) oracle=0 formula=3",
+            "beta_(5, x1*x2*x3*x4*y1*y2*y3*y4) oracle=- formula=3",
             "entry count oracle=116 formula=117",
             "totals oracle=[12, 30, 38, 32, 16, 0] closed form=[12, 30, 38, 32, 16, 3]",
             "alternating sum 1 - b0 + b1 - ... = -3, expected 0",
@@ -206,10 +246,11 @@ class TestOrbitComparison:
 
         monkeypatch.setattr(formulas, "_selection_entry", admitting)
         # the two orbits of selections with one missing pair and no isolated
-        # vertex, each at its canonical point: a zero entry is an entry
+        # vertex, each at its canonical point: a zero entry is an entry, and
+        # the oracle, which lists none there, reads "-"
         assert self.compare() == [
-            "beta_(1, x1*x3*y1*y2^2) oracle=0 formula=0",
-            "beta_(2, x1*x3*x4*y1*y2^2) oracle=0 formula=0",
+            "beta_(1, x1*x3*y1*y2^2) oracle=- formula=0",
+            "beta_(2, x1*x3*x4*y1*y2^2) oracle=- formula=0",
         ]
 
 

@@ -508,17 +508,22 @@ class TestGraphCommand:
         ids=["crown-oracle", "crown-both", "family-oracle"],
     )
     def test_table_past_the_library_cap_exits_2(self, capsys, monkeypatch, argv):
-        # the closed-form count of crown n = 9 (202,072 entries) is under the
-        # command's own cap, so the library's cap refuses the oracle table, as
-        # it does for graph: exit 2 at once, before any closed-form table is built
+        # the command reads the library's cap when it runs: lowered to 1000,
+        # it refuses crown n = 9 by the closed-form count (202,072 entries),
+        # exit 2 at once, before any oracle runs or any table is built
         from crownbetti import ideals
 
         monkeypatch.setattr(ideals, "MAX_LISTED_ENTRIES", 1000)
         start = time.perf_counter()
         result = run(capsys, *argv)
         assert time.perf_counter() - start < 1
-        message = "error: the table passes the cap of 1000 multigraded entries\n"
-        assert result == (EXIT_USAGE, "", message)
+        message = "error: the formula table has 202072 multigraded entries, above the cap of 1000"
+        if argv[0] == "crown":
+            message += (
+                "; --mode formula without --output json or --multigraded counts the "
+                "graded numbers instead"
+            )
+        assert result == (EXIT_USAGE, "", message + "\n")
 
     @pytest.mark.parametrize("command", ["crown", "graph"])
     def test_broken_invariant_is_not_a_usage_error(self, capsys, monkeypatch, tmp_path, command):

@@ -341,10 +341,11 @@ def test_closed_entry_count_checks_the_shape():
 
 
 def test_entry_count_keeps_n10_under_the_listing_cap():
-    from crownbetti.cli import MAX_LISTED_ENTRIES
+    from crownbetti import ideals
 
-    assert shape_entry_count(10, 10, 10, (1,) * 10) == 849_699 <= MAX_LISTED_ENTRIES
-    assert shape_entry_count(11, 11, 11, tuple(range(1, 12))) == 3_540_670 > MAX_LISTED_ENTRIES
+    cap = ideals.MAX_LISTED_ENTRIES
+    assert shape_entry_count(10, 10, 10, (1,) * 10) == 849_699 <= cap
+    assert shape_entry_count(11, 11, 11, tuple(range(1, 12))) == 3_540_670 > cap
 
 
 class TestCrownArguments:
